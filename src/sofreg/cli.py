@@ -20,6 +20,7 @@ import copy
 import csv
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -70,41 +71,46 @@ class ConfigError(Exception):
 
 _COMMON = {"seed": 0, "out_dir": ".", "threads": 1}
 
-_GRID = {"lo": 0.0, "hi": 1.0, "points": 101}
-_GP = {"seasonal": True, "period": 365.0 / 295.0, "sigma_x": 0.7, "length_scale": 0.01}
-_TRUTH = {"kind": "smooth", "breakpoints": [0.35, 0.65], "levels": [2.0, 0.0, -2.0]}
-_SIGNAL = {"route": "spline", "basis_size": 53}
-
 
 def _defaults(command: str) -> dict:
-    shared_study = {
-        "n": 100,
-        "snr": 5.0,
-        "replicates": 1,
-        "grid": dict(_GRID),
-        "gp": dict(_GP),
-        "truth": dict(_TRUTH),
-        "signal": dict(_SIGNAL),
+    """Each command's default config, read off the library's dataclasses.
+
+    Values are plain Python scalars and lists so the snapshot stays
+    YAML-safe and its hash stable.
+    """
+    design = SimulationDesign(n=100, snr=5.0)
+    step = LocallyConstantTruth()
+    truth = {
+        "kind": design.truth.kind,
+        "breakpoints": list(step.breakpoints),
+        "levels": list(step.levels),
     }
+    grid = design.grid
+    study = {
+        "n": design.n,
+        "snr": design.snr,
+        "replicates": design.replicates,
+        "grid": {"lo": float(grid[0]), "hi": float(grid[-1]), "points": int(grid.size)},
+        "gp": asdict(design.gp),
+        "truth": truth,
+        "signal": {"route": design.signal_route, "basis_size": design.signal_basis_size},
+    }
+    pipeline = asdict(MethodSettings())
     if command == "simulate":
-        return {**_COMMON, **copy.deepcopy(shared_study)}
+        return {**_COMMON, **study}
     if command == "fit":
+        sampler = asdict(FitConfig())
+        sampler["refresh"] = sampler.pop("dhs")["refresh"]
         return {
             **_COMMON,
             "curves": None,
             "scalars": None,
-            "basis": {"curve_size": 53, "coef_size": 53, "degree": 3},
-            "sampler": {
-                "prior": "dhs",
-                "burnin": 10000,
-                "draws": 10000,
-                "thin": 1,
-                "var_shape": 0.01,
-                "var_rate": 0.01,
-                "scale_shape": 0.01,
-                "scale_rate": 0.01,
-                "refresh": 5,
+            "basis": {
+                "curve_size": pipeline["curve_basis_size"],
+                "coef_size": pipeline["coef_basis_size"],
+                "degree": pipeline["degree"],
             },
+            "sampler": sampler,
         }
     if command == "summarize":
         return {
@@ -112,38 +118,21 @@ def _defaults(command: str) -> dict:
             "archive": None,
             "curves": None,
             "scalars": None,
-            "basis": {"curve_size": 53, "degree": 3},
-            "epsilon": 0.10,
-            "zero_tol": 0.0,
+            "basis": {"curve_size": pipeline["curve_basis_size"], "degree": pipeline["degree"]},
+            "epsilon": pipeline["epsilon"],
+            "zero_tol": pipeline["zero_tol"],
             "pred_draws": 1000,
             "grid_points": 101,
-            "partition_cells": None,
+            "partition_cells": pipeline["partition_cells"],
         }
     if command == "evaluate":
-        return {
-            **_COMMON,
-            "beta_summary": None,
-            "windows": None,
-            "truth": copy.deepcopy(_TRUTH),
-        }
+        return {**_COMMON, "beta_summary": None, "windows": None, "truth": truth}
     if command == "replicate":
         return {
             **_COMMON,
-            "study": copy.deepcopy(shared_study) | {"replicates": 2},
+            "study": study | {"replicates": 2},
             "methods": ["dhs"],
-            "pipeline": {
-                "curve_basis_size": 53,
-                "coef_basis_size": 53,
-                "degree": 3,
-                "burnin": 2000,
-                "draws": 2000,
-                "thin": 1,
-                "refresh": 1,
-                "epsilon": 0.10,
-                "zero_tol": 0.0,
-                "pred_draws": 500,
-                "partition_cells": None,
-            },
+            "pipeline": pipeline,
         }
     raise ConfigError(f"unknown command {command!r}")
 
@@ -335,18 +324,9 @@ def cmd_fit(resolved: dict) -> int:
     _, design = _assemble(
         curves, y, covariates, basis_cfg["curve_size"], basis_cfg["coef_size"], basis_cfg["degree"]
     )
-    s = resolved["sampler"]
-    config = FitConfig(
-        prior=s["prior"],
-        burnin=s["burnin"],
-        draws=s["draws"],
-        thin=s["thin"],
-        var_shape=s["var_shape"],
-        var_rate=s["var_rate"],
-        scale_shape=s["scale_shape"],
-        scale_rate=s["scale_rate"],
-        dhs=DhsConfig(refresh=s["refresh"]),
-    )
+    sampler = dict(resolved["sampler"])
+    refresh = sampler.pop("refresh")
+    config = FitConfig(**sampler, dhs=DhsConfig(refresh=refresh))
     draws = fit(design, config, seed=resolved["seed"])
     archive_hash = save_draws(draws, Path(resolved["out_dir"]) / "archive")
     print(f"archive written (config {cfg_hash}, draws {archive_hash})")

@@ -19,7 +19,13 @@ import numpy as np
 
 from sofreg.basis import Domain, integrate_basis
 from sofreg.funcdata import CoefCurve, RegressionDesign
-from sofreg.gibbs import NumericalError, PosteriorDraws, subsample_indices
+from sofreg.gibbs import (
+    NumericalError,
+    PosteriorDraws,
+    block_fit_draws,
+    predictive_draws,
+    subsample_indices,
+)
 
 log = logging.getLogger(__name__)
 
@@ -296,7 +302,6 @@ def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath
     path = SolutionPath(
         lambdas=2.0 * lams / n, deltas=deltas, n_obs=n, rank_deficient=rank_deficient
     )
-    _warn_on_level_increase(path)
     return path
 
 
@@ -304,18 +309,6 @@ def _gamma_at(active, a_vec, b_vec, lam, size) -> np.ndarray:
     gamma = np.zeros(size)
     gamma[active] = a_vec - lam * b_vec
     return gamma
-
-
-def _warn_on_level_increase(path: SolutionPath) -> None:
-    counts = [count_level_changes(d) for d in path.deltas]
-    # along the stored path the penalty decreases, so counts should not drop
-    drops = [i for i in range(1, len(counts)) if counts[i] < counts[i - 1]]
-    if drops:
-        log.warning(
-            "level count not monotone in the penalty at %d of %d knots "
-            "(first near lambda=%.3g; path-algorithm defect check)",
-            len(drops), len(counts), path.lambdas[drops[0]],
-        )
 
 
 def path_delta_at(path: SolutionPath, lam: float) -> np.ndarray:
@@ -410,18 +403,6 @@ def predictive_mse_draws(
     return np.mean(resid**2, axis=1)
 
 
-def _nonfunctional_per_draw(
-    draws: PosteriorDraws, design: RegressionDesign, idx: np.ndarray
-) -> np.ndarray | None:
-    parts = None
-    for blk in draws.blocks:
-        for dblk in design.adaptive_blocks:
-            if dblk.name == blk.name:
-                term = blk.coeffs[idx] @ dblk.design.T
-                parts = term if parts is None else parts + term
-    return parts
-
-
 @dataclass
 class PathDiagnostics:
     """Loss profile of the stored path on a penalty grid."""
@@ -460,18 +441,13 @@ def evaluate_path(
 
     alpha_hat = draws.alpha.mean(axis=0)
     idx = subsample_indices(draws.n_draws, pred_draws)
-    mean = draws.coeffs[idx] @ design.scores.T + draws.alpha[idx] @ design.z.T
-    blocks = _nonfunctional_per_draw(draws, design, idx)
-    if blocks is not None:
-        mean = mean + blocks
-    y_pred = mean + np.sqrt(draws.sigma2[idx])[:, None] * rng.standard_normal(mean.shape)
+    y_pred = predictive_draws(draws, design, rng, size=pred_draws)
     alpha_draws = draws.alpha[idx]
+    blocks = block_fit_draws(draws, design, idx)
 
     block_fit_mean = None
     if blocks is not None:
-        block_fit_mean = _nonfunctional_per_draw(
-            draws, design, np.arange(draws.n_draws)
-        ).mean(axis=0)
+        block_fit_mean = block_fit_draws(draws, design, np.arange(draws.n_draws)).mean(axis=0)
 
     emp = np.empty(lams.size)
     pred = np.empty((lams.size, idx.size))
@@ -686,7 +662,7 @@ def analyze(
     agg = aggregate(curves, partition)
     alpha_hat = draws.alpha.mean(axis=0)
     targets = draws.y_hat - design.z @ alpha_hat
-    blocks = _nonfunctional_per_draw(draws, design, np.arange(draws.n_draws))
+    blocks = block_fit_draws(draws, design, np.arange(draws.n_draws))
     if blocks is not None:
         targets = targets - blocks.mean(axis=0)
     path = fused_lasso_path(targets, agg)

@@ -121,32 +121,16 @@ def _pg_devroye_one(tilt: float, rng: np.random.Generator) -> float:
                     break
 
 
-def sample_polya_gamma(shape: float, tilt: float, rng: np.random.Generator) -> float:
-    """One draw from the Polya-Gamma(shape, tilt) distribution.
-
-    Integer shapes are exact (sums of Devroye draws); other shapes fall
-    back on a 200-term truncation of the infinite gamma convolution, which
-    is adequate for hyperparameter exploration but not exact.
-    """
-    if shape <= 0:
-        raise ValueError("shape must be positive")
-    if float(shape).is_integer():
-        return sum(_pg_devroye_one(tilt, rng) for _ in range(int(shape)))
-    k = np.arange(1, 201)
-    denom = (k - 0.5) ** 2 + tilt**2 / (4.0 * math.pi**2)
-    return float(rng.gamma(shape, 1.0, size=200) @ (1.0 / denom)) / (2.0 * math.pi**2)
-
-
 def sample_polya_gamma_vec(tilts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Independent PG(1, tilt_k) draws, one per entry."""
     return np.array([_pg_devroye_one(t, rng) for t in np.asarray(tilts, dtype=float)])
 
 
-def polya_gamma_mean(shape: float, tilt: float) -> float:
-    """E[PG(shape, tilt)]; closed form used for initialization and tests."""
+def polya_gamma_mean(tilt: float) -> float:
+    """E[PG(1, tilt)]; closed form used for initialization and tests."""
     if tilt == 0.0:
-        return shape / 4.0
-    return shape * math.tanh(tilt / 2.0) / (2.0 * tilt)
+        return 0.25
+    return math.tanh(tilt / 2.0) / (2.0 * tilt)
 
 
 # --- Z distribution ---------------------------------------------------------
@@ -165,6 +149,8 @@ def sample_z_dist(a: float, b: float, rng: np.random.Generator, size=None) -> np
 class DhsConfig:
     """Hyperparameters of the shrinkage process.
 
+    The innovations are Z(a, b) with a + b = 1, so that their Polya-Gamma
+    auxiliaries are PG(1, .) and drawn exactly; other sums are rejected.
     ``a = b = 1/2`` gives the horseshoe-type calibration; the AR
     persistence has a Beta(phi_a, phi_b) prior on (phi+1)/2.
     """
@@ -174,6 +160,13 @@ class DhsConfig:
     phi_a: float = 10.0
     phi_b: float = 2.0
     refresh: int = 5
+
+    def __post_init__(self) -> None:
+        if not (self.a > 0 and self.b > 0 and abs(self.a + self.b - 1.0) <= 1e-12):
+            raise ValueError(
+                f"DHS innovation parameters need a > 0, b > 0 and a + b = 1; "
+                f"got a={self.a}, b={self.b}"
+            )
 
 
 @dataclass
@@ -196,22 +189,21 @@ class DhsState:
         return np.exp(self.h)
 
 
-def init_dhs_state(d2: np.ndarray, config: DhsConfig) -> DhsState:
+def init_dhs_state(d2: np.ndarray) -> DhsState:
     """Deterministic starting state given initial second differences."""
     d2 = np.asarray(d2, dtype=float)
     m = d2.size
     if m < 2:
         raise ValueError("need at least two interior coefficients")
     level = float(np.clip(np.log(max(d2.var(), 1e-300)), -20.0, 20.0))
-    pg0 = polya_gamma_mean(config.a + config.b, 0.0)
     return DhsState(
         h=np.full(m, level),
         mu_h=level,
         phi=0.9,
         lambda0=1.0,
         indicators=np.full(m, int(np.argmax(LOG_CHI2_PROB))),
-        xi=np.full(m, pg0),
-        xi_mu=polya_gamma_mean(1.0, 0.0),
+        xi=np.full(m, polya_gamma_mean(0.0)),
+        xi_mu=polya_gamma_mean(0.0),
     )
 
 
@@ -235,31 +227,6 @@ def sample_mixture_indicators(
     return (w.cumsum(axis=1) < u[:, None]).sum(axis=1)
 
 
-def _log_vol_conditional(
-    d2: np.ndarray, state: DhsState, config: DhsConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tridiagonal precision (diag, superdiag) and linear term of h given the rest."""
-    m = state.size
-    ystar = np.log(np.asarray(d2) ** 2 + LOG_SQUARE_JITTER)
-    obs_mean = LOG_CHI2_MEAN[state.indicators]
-    obs_var = LOG_CHI2_VAR[state.indicators]
-    xi = state.xi
-    phi = state.phi
-    kappa = (config.a - config.b) / 2.0
-    innov_mean = kappa / xi
-
-    diag = 1.0 / obs_var + xi
-    diag[:-1] += phi**2 * xi[1:]
-    offdiag = -phi * xi[1:]
-
-    # prior pulls h toward the stationary AR path around mu_h
-    u = innov_mean + state.mu_h * np.r_[1.0, np.full(m - 1, 1.0 - phi)]
-    lin = (ystar - obs_mean) / obs_var
-    lin += xi * u
-    lin[:-1] -= phi * xi[1:] * u[1:]
-    return diag, offdiag, lin
-
-
 def _banded_chol(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     band = np.zeros((2, diag.size))
     band[0] = diag
@@ -273,14 +240,6 @@ def _banded_noise(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     upper[0, 1:] = chol[1, :-1]
     upper[1] = chol[0]
     return solve_banded((0, 1), upper, z)
-
-
-def sample_log_vols(d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.Generator) -> np.ndarray:
-    """Joint draw of the log-volatility path by a banded Cholesky solve."""
-    diag, offdiag, lin = _log_vol_conditional(d2, state, config)
-    chol = _banded_chol(diag, offdiag)
-    mean = cho_solve_banded((chol, True), lin)
-    return mean + _banded_noise(chol, rng.standard_normal(diag.size))
 
 
 def _log_vol_level_joint(
@@ -342,35 +301,13 @@ def sample_log_vols_and_level(
     return h, float(mu)
 
 
-def update_innovation_auxiliaries(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> None:
-    """Refresh the Polya-Gamma variables given the current innovations."""
+def update_innovation_auxiliaries(state: DhsState, rng: np.random.Generator) -> None:
+    """Refresh the PG(1, eta_k) variables given the current innovations."""
     centered = state.h - state.mu_h
     eta = np.empty(state.size)
     eta[0] = centered[0]
     eta[1:] = centered[1:] - state.phi * centered[:-1]
-    shape = config.a + config.b
-    if shape == 1.0:
-        state.xi = sample_polya_gamma_vec(eta, rng)
-    else:
-        state.xi = np.array([sample_polya_gamma(shape, e, rng) for e in eta])
-
-
-def sample_ar_level(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> float:
-    """Draw the log-scale level mu_h.
-
-    Its prior is Z(1/2, 1/2), i.e. half-Cauchy on exp(mu_h / 2), which is
-    conditionally Gaussian given one more Polya-Gamma variable; combined
-    with the Gaussian AR likelihood the update stays exact.
-    """
-    state.xi_mu = _pg_devroye_one(state.mu_h, rng)
-    h, xi, phi = state.h, state.xi, state.phi
-    kappa = (config.a - config.b) / 2.0
-    c = kappa / xi
-    prec = state.xi_mu + xi[0] + (1.0 - phi) ** 2 * xi[1:].sum()
-    lin = xi[0] * (h[0] - c[0])
-    lin += (1.0 - phi) * np.sum(xi[1:] * (h[1:] - phi * h[:-1] - c[1:]))
-    mean = lin / prec
-    return float(mean + rng.standard_normal() / math.sqrt(prec))
+    state.xi = sample_polya_gamma_vec(eta, rng)
 
 
 def _phi_log_density(phi: float, state: DhsState, config: DhsConfig) -> float:
@@ -529,14 +466,17 @@ def dhs_step(d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.
     """One full sweep over the latent shrinkage process, in place.
 
     Order: mixture indicators, the level's Polya-Gamma variable, the
-    blocked (path, level) draw, innovation auxiliaries, persistence.
-    Any fixed order of valid blocks leaves the conditional law invariant.
+    blocked (path, level) draw, the sitewise slice over the path, the
+    collapsed level slice, innovation auxiliaries, persistence.  Any fixed
+    order of valid blocks leaves the conditional law invariant.
 
     The cycle runs ``config.refresh`` times.  The auxiliary variables
     (mixture indicators, Polya-Gamma scales) and the latent path relax
-    slowly relative to the coefficient block, and each extra cycle is
-    O(size) banded work, so a handful of repeats buys a much shorter
-    autocorrelation time at negligible cost.
+    slowly relative to the coefficient block, so repeats shorten their
+    autocorrelation time.  They are not cheap: each cycle costs as much
+    as the first, dominated by the per-site slice and Devroye loops.  At
+    53 coefficients a sweep took 5.9 ms with one cycle and 24 ms with
+    five (2-CPU machine, n=500).
     """
     for _ in range(config.refresh):
         state.indicators = sample_mixture_indicators(d2, state.h, rng)
@@ -544,15 +484,16 @@ def dhs_step(d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.
         state.h, state.mu_h = sample_log_vols_and_level(d2, state, config, rng)
         sample_log_vols_sitewise(d2, state, config, rng)
         state.mu_h = sample_ar_level_collapsed(state, config, rng)
-        update_innovation_auxiliaries(state, config, rng)
+        update_innovation_auxiliaries(state, rng)
         state.phi = sample_ar_persistence(state, config, rng)
 
 
-def prior_step(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> np.ndarray:
-    """Forward-simulate the process from its prior given current (mu_h, phi).
+def prior_step(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> None:
+    """Redraw the path and its auxiliaries from the prior given (mu_h, phi), in place.
 
-    Returns the implied local standard deviations; used by prior-predictive
-    checks and the sampler-correctness harness.
+    The path is forward-simulated as an AR(1) with Z(a, b) innovations;
+    the innovation and level Polya-Gamma variables are then drawn given
+    the new path.  Used by the prior simulators that validate the sampler.
     """
     m = state.size
     eta = sample_z_dist(config.a, config.b, rng, size=m)
@@ -561,4 +502,5 @@ def prior_step(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> 
     for k in range(1, m):
         h[k] = state.mu_h + state.phi * (h[k - 1] - state.mu_h) + eta[k]
     state.h = h
-    return np.exp(h / 2.0)
+    update_innovation_auxiliaries(state, rng)
+    state.xi_mu = _pg_devroye_one(state.mu_h, rng)

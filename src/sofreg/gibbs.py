@@ -34,14 +34,13 @@ from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix, second_differe
 from sofreg.dhs import (
     DhsConfig,
     DhsState,
-    _pg_devroye_one,
     dhs_step,
     init_dhs_state,
     polya_gamma_mean,
+    prior_step,
     sample_boundary_scale,
     sample_mixture_indicators,
     sample_z_dist,
-    update_innovation_auxiliaries,
 )
 from sofreg.funcdata import RegressionDesign
 
@@ -228,7 +227,7 @@ class _GibbsCore:
             scales = self.scales[name]
             scales.lambda0 = 1.0
             if cfg.prior == "dhs":
-                scales.dhs_state = init_dhs_state(d2, cfg.dhs)
+                scales.dhs_state = init_dhs_state(d2)
             else:
                 level = float(np.clip(d2.var(), 1e-10, 1e10))
                 scales.smooth_var = level
@@ -257,8 +256,8 @@ class _GibbsCore:
                     phi=2.0 * rng.beta(cfg.dhs.phi_a, cfg.dhs.phi_b) - 1.0,
                     lambda0=1.0,
                     indicators=np.zeros(m, dtype=int),
-                    xi=np.full(m, polya_gamma_mean(cfg.dhs.a + cfg.dhs.b, 0.0)),
-                    xi_mu=polya_gamma_mean(1.0, 0.0),
+                    xi=np.full(m, polya_gamma_mean(0.0)),
+                    xi_mu=polya_gamma_mean(0.0),
                 )
             elif cfg.prior == "pspline":
                 scales.smooth_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate)
@@ -293,14 +292,7 @@ class _GibbsCore:
             scales = self.scales[name]
             dop = self.diff_op[name]
             if cfg.prior == "dhs":
-                state = scales.dhs_state
-                m = state.size
-                eta = sample_z_dist(cfg.dhs.a, cfg.dhs.b, rng, size=m)
-                state.h[0] = state.mu_h + eta[0]
-                for k in range(1, m):
-                    state.h[k] = state.mu_h + state.phi * (state.h[k - 1] - state.mu_h) + eta[k]
-                update_innovation_auxiliaries(state, cfg.dhs, rng)
-                state.xi_mu = _pg_devroye_one(state.mu_h, rng)
+                prior_step(scales.dhs_state, cfg.dhs, rng)
             lam = scales.variance_vector(cfg.prior, dop.shape[0])
             self.theta[name] = np.linalg.solve(dop, np.sqrt(lam) * rng.standard_normal(lam.size))
             self._refresh_fitted(name)
@@ -574,6 +566,19 @@ def subsample_indices(n_draws: int, size: int | None) -> np.ndarray:
     return np.unique(np.linspace(0, n_draws - 1, size).round().astype(int))
 
 
+def block_fit_draws(
+    draws: PosteriorDraws, design: RegressionDesign, idx: np.ndarray
+) -> np.ndarray | None:
+    """Summed fit of the adaptive covariate blocks at draws ``idx``; None without blocks."""
+    parts = None
+    for blk in draws.blocks:
+        for dblk in design.adaptive_blocks:
+            if dblk.name == blk.name:
+                term = blk.coeffs[idx] @ dblk.design.T
+                parts = term if parts is None else parts + term
+    return parts
+
+
 def predictive_draws(
     draws: PosteriorDraws,
     design: RegressionDesign,
@@ -583,10 +588,9 @@ def predictive_draws(
     """Posterior predictive replicates of the response, one row per draw."""
     idx = subsample_indices(draws.n_draws, size)
     mean = draws.coeffs[idx] @ design.scores.T + draws.alpha[idx] @ design.z.T
-    for blk in draws.blocks:
-        for dblk in design.adaptive_blocks:
-            if dblk.name == blk.name:
-                mean += blk.coeffs[idx] @ dblk.design.T
+    blocks = block_fit_draws(draws, design, idx)
+    if blocks is not None:
+        mean = mean + blocks
     noise = np.sqrt(draws.sigma2[idx])[:, None] * rng.standard_normal(mean.shape)
     return mean + noise
 

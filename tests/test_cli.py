@@ -13,6 +13,10 @@ import pytest
 
 from sofreg import cli
 from sofreg.cli import main, read_table
+from sofreg.dhs import DhsConfig
+from sofreg.gibbs import FitConfig
+from sofreg.methods import MethodSettings
+from sofreg.simulate import GpSettings, LocallyConstantTruth, SimulationDesign
 
 
 def write_config(path, payload):
@@ -202,6 +206,44 @@ def test_fit_writes_archive_and_snapshot(pipeline_dirs):
 def test_fit_default_sampler_lengths():
     defaults = cli._defaults("fit")["sampler"]
     assert defaults["burnin"] == 10000 and defaults["draws"] == 10000
+
+
+def test_resolved_defaults_rebuild_the_library_defaults():
+    # every CLI default is read off a library dataclass, so feeding the
+    # resolved defaults back must reproduce that dataclass's defaults
+    def resolved(command):
+        return cli.resolve_config(command, cli.build_parser().parse_args([command]))
+
+    sampler = dict(resolved("fit")["sampler"])
+    refresh = sampler.pop("refresh")
+    assert FitConfig(**sampler, dhs=DhsConfig(refresh=refresh)) == FitConfig()
+
+    replicate = resolved("replicate")
+    settings = MethodSettings(**replicate["pipeline"])
+    assert settings == MethodSettings()
+    basis = resolved("fit")["basis"]
+    assert (basis["curve_size"], basis["coef_size"], basis["degree"]) == (
+        settings.curve_basis_size, settings.coef_basis_size, settings.degree
+    )
+    summarize = resolved("summarize")
+    assert (summarize["epsilon"], summarize["zero_tol"], summarize["partition_cells"]) == (
+        settings.epsilon, settings.zero_tol, settings.partition_cells
+    )
+
+    step = LocallyConstantTruth()
+    for cfg in (resolved("simulate"), replicate["study"]):
+        design = cli._design_from_cfg({"seed": 0, "study": cfg}, "study")
+        default = SimulationDesign(n=design.n, snr=design.snr)
+        assert np.array_equal(design.grid, default.grid)
+        assert design.gp == GpSettings()
+        assert design.truth == default.truth
+        assert (design.signal_route, design.signal_basis_size) == (
+            default.signal_route, default.signal_basis_size
+        )
+    assert resolved("simulate")["replicates"] == SimulationDesign(n=1, snr=1.0).replicates
+    for truth in (resolved("simulate")["truth"], resolved("evaluate")["truth"]):
+        as_step = cli._truth_from_cfg(truth | {"kind": "locally_constant"})
+        assert as_step == step
 
 
 def test_summary_tables_are_stamped_and_shaped(pipeline_dirs):

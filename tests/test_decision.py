@@ -32,7 +32,6 @@ from sofreg.decision import (
     predictive_mse_draws,
     selection_on_grid,
     PathDiagnostics,
-    _warn_on_level_increase,
 )
 from sofreg.funcdata import CoefCurve, build_design
 from sofreg.gibbs import FitConfig, PosteriorDraws
@@ -246,20 +245,6 @@ def test_kkt_residual_rejects_perturbed_solutions():
     assert kkt_residual(delta, r, agg, lam) < 1e-8
     delta[3] += 0.05
     assert kkt_residual(delta, r, agg, lam) > 1e-4
-
-
-def test_level_increase_checker_warns(caplog):
-    # fabricated path whose level count drops as the penalty shrinks
-    from sofreg.decision import SolutionPath
-
-    bad = SolutionPath(
-        lambdas=np.array([2.0, 1.0]),
-        deltas=np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 1.0]]),
-        n_obs=10,
-    )
-    with caplog.at_level("WARNING", logger="sofreg.decision"):
-        _warn_on_level_increase(bad)
-    assert any("level count not monotone" in rec.message for rec in caplog.records)
 
 
 # --- partitions and aggregation ------------------------------------------------------

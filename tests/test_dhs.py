@@ -18,23 +18,18 @@ from sofreg.dhs import (
     DhsConfig,
     DhsState,
     _level_log_density,
-    _log_vol_conditional,
     _log_vol_level_joint,
-    _pg_devroye_one,
     _site_log_density,
     dhs_step,
     init_dhs_state,
     polya_gamma_mean,
     prior_step,
-    sample_ar_level,
     sample_ar_level_collapsed,
     sample_ar_persistence,
     sample_boundary_scale,
-    sample_log_vols,
     sample_log_vols_and_level,
     sample_log_vols_sitewise,
     sample_mixture_indicators,
-    sample_polya_gamma,
     sample_polya_gamma_vec,
     sample_z_dist,
     update_innovation_auxiliaries,
@@ -56,7 +51,7 @@ def pg_gamma_sum_oracle(tilt: float, rng: np.random.Generator, n: int, terms: in
 def test_pg_devroye_moments(tilt):
     rng = np.random.default_rng(12)
     draws = sample_polya_gamma_vec(np.full(40_000, tilt), rng)
-    mean = polya_gamma_mean(1.0, tilt)
+    mean = polya_gamma_mean(tilt)
     assert abs(draws.mean() - mean) < 6 * draws.std() / math.sqrt(draws.size)
     if tilt == 0.0:
         assert abs(draws.var() - 1.0 / 24.0) < 2e-3
@@ -70,23 +65,12 @@ def test_pg_devroye_distribution_matches_gamma_sum(tilt):
     assert stats.ks_2samp(devroye, oracle).pvalue > 1e-3
 
 
-def test_pg_integer_shape_is_sum_of_unit_draws():
-    rng = np.random.default_rng(14)
-    draws = np.array([sample_polya_gamma(3, 1.2, rng) for _ in range(20_000)])
-    want = polya_gamma_mean(3.0, 1.2)
-    assert abs(draws.mean() - want) < 6 * draws.std() / math.sqrt(draws.size)
-
-
-def test_pg_fractional_shape_fallback_mean():
-    rng = np.random.default_rng(15)
-    draws = np.array([sample_polya_gamma(0.6, 1.0, rng) for _ in range(20_000)])
-    want = polya_gamma_mean(0.6, 1.0)
-    assert abs(draws.mean() - want) < 5e-3
-
-
-def test_pg_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        sample_polya_gamma(0.0, 1.0, np.random.default_rng(0))
+def test_config_requires_innovation_parameters_summing_to_one():
+    with pytest.raises(ValueError, match=r"a \+ b = 1"):
+        DhsConfig(a=0.3, b=0.5)
+    with pytest.raises(ValueError, match=r"a > 0"):
+        DhsConfig(a=0.0, b=1.0)
+    DhsConfig(a=0.3, b=0.7)  # asymmetric innovations stay allowed
 
 
 # --- Z distribution and the half-Cauchy identity ----------------------------
@@ -177,55 +161,15 @@ def _dense_log_vol_terms(d2, state, config):
 
 @pytest.mark.parametrize("m,phi", [(10, 0.6), (10, -0.4), (25, 0.95)])
 def test_log_vol_conditional_matches_dense_oracle(m, phi):
+    # the h | mu_h conditional read off the joint (h, mu_h) terms matches
+    # the explicit-matrix construction with the level held fixed
     config = DhsConfig()
     state, d2 = _random_state(m, seed=21, phi=phi)
-    diag, offdiag, lin = _log_vol_conditional(d2, state, config)
+    diag, offdiag, lin_h, coupling, _, _ = _log_vol_level_joint(d2, state, config)
     Q, lin_dense = _dense_log_vol_terms(d2, state, config)
     band = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     assert np.max(np.abs(band - Q)) < 1e-12
-    assert np.max(np.abs(lin - lin_dense)) < 1e-12
-    # conditional mean agrees with a dense solve
-    mean_banded = sample_log_vols(d2, state, config, np.random.default_rng(0))
-    mean_dense = np.linalg.solve(Q, lin_dense)
-    z = np.random.default_rng(0).standard_normal(m)
-    L = np.linalg.cholesky(Q)
-    draw_dense = mean_dense + np.linalg.solve(L.T, z)
-    assert np.max(np.abs(mean_banded - draw_dense)) < 1e-8
-
-
-def test_log_vol_draw_distribution_on_fixed_conditionals():
-    # with everything else frozen, repeated draws must match N(Q^-1 l, Q^-1)
-    config = DhsConfig()
-    state, d2 = _random_state(6, seed=22)
-    Q, lin = _dense_log_vol_terms(d2, state, config)
-    mean = np.linalg.solve(Q, lin)
-    cov = np.linalg.inv(Q)
-    rng = np.random.default_rng(23)
-    draws = np.stack([sample_log_vols(d2, state, config, rng) for _ in range(30_000)])
-    se = np.sqrt(np.diag(cov) / draws.shape[0])
-    assert np.all(np.abs(draws.mean(axis=0) - mean) < 6 * se)
-    emp_cov = np.cov(draws.T)
-    assert np.max(np.abs(emp_cov - cov)) < 0.05 * np.max(np.diag(cov))
-
-
-def test_ar_level_matches_explicit_matrix_expression():
-    config = DhsConfig()
-    state, _ = _random_state(12, seed=24, phi=0.7, mu_h=0.4)
-    got = sample_ar_level(state, config, np.random.default_rng(77))
-
-    rng = np.random.default_rng(77)
-    xi_mu = _pg_devroye_one(state.mu_h, rng)
-    m = state.size
-    T = np.eye(m)
-    for k in range(1, m):
-        T[k, k - 1] = -state.phi
-    ones_col = T @ np.ones(m)
-    kappa = (config.a - config.b) / 2.0
-    c = kappa / state.xi
-    prec = xi_mu + ones_col @ np.diag(state.xi) @ ones_col
-    lin = ones_col @ np.diag(state.xi) @ (T @ state.h - c)
-    want = lin / prec + rng.standard_normal() / math.sqrt(prec)
-    assert abs(got - want) < 1e-10
+    assert np.max(np.abs(lin_h - coupling * state.mu_h - lin_dense)) < 1e-12
 
 
 def _dense_joint_level_terms(d2, state, config):
@@ -349,6 +293,15 @@ def test_sitewise_slice_invariant_law_matches_exact_density():
     assert stats.kstest(draws[1000::5], lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3
 
 
+def _draw_path_given_level(d2, state, config, rng):
+    """h | mu_h from the joint (h, mu_h) conditional terms, by a dense solve."""
+    diag, offdiag, lin_h, coupling, _, _ = _log_vol_level_joint(d2, state, config)
+    q = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    mean = np.linalg.solve(q, lin_h - coupling * state.mu_h)
+    chol = np.linalg.cholesky(q)
+    return mean + np.linalg.solve(chol.T, rng.standard_normal(diag.size))
+
+
 def test_sitewise_and_augmented_chains_share_invariant_law():
     # two independent mechanisms for p(h | d2, mu, phi): collapsed slices
     # versus mixture indicators plus Polya-Gamma with a blocked draw
@@ -360,15 +313,15 @@ def test_sitewise_and_augmented_chains_share_invariant_law():
     def run_chain(kind, n):
         st = DhsState(h=np.zeros(5), mu_h=mu, phi=phi, lambda0=1.0,
                       indicators=np.zeros(5, dtype=int),
-                      xi=np.full(5, polya_gamma_mean(1.0, 0.0)), xi_mu=1.0)
+                      xi=np.full(5, polya_gamma_mean(0.0)), xi_mu=1.0)
         out = np.empty(n)
         for i in range(n):
             if kind == "site":
                 sample_log_vols_sitewise(d2, st, config, rng)
             else:
                 st.indicators = sample_mixture_indicators(d2, st.h, rng)
-                st.h = sample_log_vols(d2, st, config, rng)
-                update_innovation_auxiliaries(st, config, rng)
+                st.h = _draw_path_given_level(d2, st, config, rng)
+                update_innovation_auxiliaries(st, rng)
             out[i] = st.h[2]
         return out
 
@@ -423,12 +376,11 @@ def test_boundary_scale_conjugate_distribution():
 
 
 def test_init_state_levels_and_clamping():
-    config = DhsConfig()
-    state = init_dhs_state(np.array([1e-12, -1e-12, 1e-12]), config)
+    state = init_dhs_state(np.array([1e-12, -1e-12, 1e-12]))
     assert np.all(state.h == -20.0)
-    state = init_dhs_state(np.array([1e30, -1e30, 1e30]), config)
+    state = init_dhs_state(np.array([1e30, -1e30, 1e30]))
     assert np.all(state.h == 20.0)
-    state = init_dhs_state(np.array([0.5, -0.2, 0.9, 0.0]), config)
+    state = init_dhs_state(np.array([0.5, -0.2, 0.9, 0.0]))
     assert state.phi == 0.9 and state.lambda0 == 1.0
     assert state.mu_h == state.h[0]
     assert np.all(np.isfinite(state.xi)) and state.xi_mu > 0
@@ -438,7 +390,7 @@ def test_dhs_step_stays_finite_and_in_support():
     config = DhsConfig()
     rng = np.random.default_rng(27)
     d2 = rng.normal(size=30) * np.r_[np.full(15, 0.01), np.full(15, 2.0)]
-    state = init_dhs_state(d2, config)
+    state = init_dhs_state(d2)
     for _ in range(300):
         dhs_step(d2, state, config, rng)
         assert np.all(np.isfinite(state.h))
@@ -451,8 +403,12 @@ def test_dhs_step_stays_finite_and_in_support():
 def test_prior_step_with_zero_persistence_gives_half_cauchy_scales():
     config = DhsConfig()
     rng = np.random.default_rng(28)
-    state = init_dhs_state(np.ones(50), config)
+    state = init_dhs_state(np.ones(50))
     state.mu_h = 0.0
     state.phi = 0.0
-    lams = np.concatenate([prior_step(state, config, rng) for _ in range(400)])
+    lams = []
+    for _ in range(400):
+        prior_step(state, config, rng)
+        lams.append(np.exp(state.h / 2.0))
+    lams = np.concatenate(lams)
     assert stats.kstest(lams, stats.halfcauchy.cdf).pvalue > 0.01
