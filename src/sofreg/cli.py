@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -27,7 +28,7 @@ import numpy as np
 import yaml
 
 from sofreg.basis import BSplineBasis, Domain
-from sofreg.decision import Partition, analyze
+from sofreg.decision import Partition, analyze, kkt_residual
 from sofreg.dhs import DhsConfig
 from sofreg.funcdata import (
     build_design,
@@ -56,6 +57,10 @@ from sofreg.simulate import (
     replicate_data,
     run_replicate,
 )
+
+log = logging.getLogger(__name__)
+
+KKT_TOL = 1e-8  # a path entry with a larger scaled stationarity residual is not exact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -382,6 +387,13 @@ def cmd_summarize(resolved: dict) -> int:
         pred_draws=resolved["pred_draws"],
     )
     diag, family = summary.diagnostics, summary.family
+    kkt = np.array(
+        [
+            kkt_residual(delta, summary.targets, summary.aggregated, float(lam))
+            for lam, delta in zip(diag.lambdas, diag.deltas)
+        ]
+    )
+    _warn_on_inexact_path(summary.aggregated.matrix, kkt)
     need = max(1, int(np.ceil(family.epsilon * diag.percent_increase.shape[1])))
     path_rows = []
     for i in range(diag.lambdas.size):
@@ -397,6 +409,7 @@ def cmd_summarize(resolved: dict) -> int:
                 int(family.members[i]),
                 int(i == family.idx_lambda_min),
                 int(i == family.idx_simplest),
+                repr(float(kkt[i])),
             ]
         )
     _write_table(
@@ -411,6 +424,7 @@ def cmd_summarize(resolved: dict) -> int:
             "acceptable",
             "is_lambda_min",
             "is_simplest",
+            "kkt_residual",
         ],
         path_rows,
         cfg_hash,
@@ -429,6 +443,18 @@ def cmd_summarize(resolved: dict) -> int:
         f"{diag.lambdas.size} path entries, {len(summary.windows)} windows)"
     )
     return EXIT_OK
+
+
+def _warn_on_inexact_path(matrix: np.ndarray, kkt: np.ndarray) -> None:
+    """Name a rank-deficient aggregated design whose path entries are not stationary."""
+    rank = int(np.linalg.matrix_rank(matrix))  # by SVD
+    worst = float(kkt.max())
+    if rank < matrix.shape[1] and worst > KKT_TOL:
+        log.warning(
+            "aggregated design has rank %d below its %d cells and the largest "
+            "path stationarity residual is %.3g (tolerance %g): the path is not exact",
+            rank, matrix.shape[1], worst, KKT_TOL,
+        )
 
 
 def _selection_from_windows(grid: np.ndarray, rows: list[list[str]]) -> np.ndarray:

@@ -353,16 +353,18 @@ def kkt_residual(
     grad = a.T @ (a @ delta - r)
     s = np.cumsum(grad)
     scale = max(1.0, lam_std, float(np.max(np.abs(a.T @ r))))
-    viol = abs(s[-1])
     diffs = np.diff(delta)
     if fuse_tol is None:
         fuse_tol = 1e-9 * max(1.0, float(np.max(np.abs(diffs), initial=0.0)))
-    for k in range(diffs.size):
-        if abs(diffs[k]) > fuse_tol:
-            viol = max(viol, abs(s[k] - lam_std * np.sign(diffs[k])))
-        else:
-            viol = max(viol, max(abs(s[k]) - lam_std, 0.0))
-    return float(viol / scale)
+    # a split boundary pins its dual to the sign of the jump; a fused one
+    # only bounds it by the penalty
+    per_cell = np.where(
+        np.abs(diffs) > fuse_tol,
+        np.abs(s[:-1] - lam_std * np.sign(diffs)),
+        np.maximum(np.abs(s[:-1]) - lam_std, 0.0),
+    )
+    viol = max(abs(float(s[-1])), float(np.max(per_cell, initial=0.0)))
+    return viol / scale
 
 
 def count_level_changes(delta: np.ndarray, tol: float | None = None) -> int:
@@ -373,34 +375,6 @@ def count_level_changes(delta: np.ndarray, tol: float | None = None) -> int:
 
 
 # --- predictive pricing of the path ---------------------------------------------
-
-
-def empirical_mse(
-    delta: np.ndarray,
-    y: np.ndarray,
-    alpha_hat: np.ndarray,
-    z: np.ndarray,
-    agg: AggregatedDesign,
-    block_fit: np.ndarray | None = None,
-) -> float:
-    """Mean squared error of the step-function fit against the observed response."""
-    adj = y - z @ alpha_hat - (0.0 if block_fit is None else block_fit)
-    resid = adj - agg.matrix @ delta
-    return float(resid @ resid / y.size)
-
-
-def predictive_mse_draws(
-    delta: np.ndarray,
-    y_pred: np.ndarray,
-    alpha_draws: np.ndarray,
-    z: np.ndarray,
-    agg: AggregatedDesign,
-    block_fits: np.ndarray | None = None,
-) -> np.ndarray:
-    """One loss per posterior predictive draw, draw-specific adjustments included."""
-    adj = y_pred - alpha_draws @ z.T - (0.0 if block_fits is None else block_fits)
-    resid = adj - (agg.matrix @ delta)[None, :]
-    return np.mean(resid**2, axis=1)
 
 
 @dataclass
@@ -428,35 +402,50 @@ def evaluate_path(
     rng: np.random.Generator,
     pred_draws: int | None = 1000,
     max_entries: int = 100,
+    block_fits: np.ndarray | None = None,
 ) -> PathDiagnostics:
     """Price every (subsampled) knot by observed and predictive squared loss.
 
     The predictive losses reuse one common set of posterior predictive
     replicates across knots, so percent differences are comparable
-    draw by draw.
+    draw by draw.  ``block_fits`` is the adaptive-block fit at every draw
+    (``block_fit_draws``); it is computed here when not given.
+
+    All entries are fitted by one product ``F = A @ deltas.T`` (n x
+    entries).  Each draw's loss is then priced against the empirical
+    optimum ``b``: with ``r0`` the draw's residual at ``b`` and
+    ``G = F - F[:, b]``, entry i's loss exceeds the optimum's by
+    ``(||G_i||^2 - 2 r0 . G_i) / n``.  That is the difference of the two
+    losses itself, not a difference of two nearly equal sums of squares,
+    so it keeps its accuracy when the losses are close; and the optimum's
+    row is exactly zero, because its column of ``G`` is.
     """
     keep = subsample_indices(path.lambdas.size, max_entries)
     lams = path.lambdas[keep]
     deltas = path.deltas[keep]
+    n = y.size
 
-    alpha_hat = draws.alpha.mean(axis=0)
+    if block_fits is None:
+        block_fits = block_fit_draws(draws, design, np.arange(draws.n_draws))
     idx = subsample_indices(draws.n_draws, pred_draws)
-    y_pred = predictive_draws(draws, design, rng, size=pred_draws)
-    alpha_draws = draws.alpha[idx]
-    blocks = block_fit_draws(draws, design, idx)
+    # replicates less each draw's scalar and block fit, adjusted in place
+    adj_pred = predictive_draws(draws, design, rng, size=pred_draws, block_fits=block_fits)
+    adj_pred -= draws.alpha[idx] @ design.z.T
+    adj = y - design.z @ draws.alpha.mean(axis=0)
+    if block_fits is not None:
+        adj_pred -= block_fits[idx]
+        adj = adj - block_fits.mean(axis=0)
 
-    block_fit_mean = None
-    if blocks is not None:
-        block_fit_mean = block_fit_draws(draws, design, np.arange(draws.n_draws)).mean(axis=0)
-
-    emp = np.empty(lams.size)
-    pred = np.empty((lams.size, idx.size))
-    for i in range(lams.size):
-        emp[i] = empirical_mse(deltas[i], y, alpha_hat, design.z, agg, block_fit_mean)
-        pred[i] = predictive_mse_draws(deltas[i], y_pred, alpha_draws, design.z, agg, blocks)
+    fits = agg.matrix @ deltas.T
+    resid = adj[:, None] - fits
+    emp = np.einsum("ij,ij->j", resid, resid) / n
     best = int(np.argmin(emp))
-    ref = pred[best]
-    percent = 100.0 * (pred - ref[None, :]) / ref[None, :]
+
+    adj_pred -= fits[:, best]  # each replicate's residual at the optimum
+    gap = fits - fits[:, best, None]
+    excess = (np.einsum("ij,ij->j", gap, gap)[:, None] - 2.0 * (gap.T @ adj_pred.T)) / n
+    ref = np.einsum("ij,ij->i", adj_pred, adj_pred) / n
+    percent = 100.0 * excess / ref[None, :]
     levels = np.array([count_level_changes(d) for d in deltas])
     return PathDiagnostics(
         lambdas=lams,
@@ -639,6 +628,8 @@ class DecisionSummary:
     diagnostics: PathDiagnostics
     family: AcceptableFamily
     estimate: LocallyConstantEstimate
+    aggregated: AggregatedDesign
+    targets: np.ndarray  # the fitted values the path regresses on the aggregated design
     windows: list[Window] = field(default_factory=list)
 
 
@@ -666,11 +657,19 @@ def analyze(
     if blocks is not None:
         targets = targets - blocks.mean(axis=0)
     path = fused_lasso_path(targets, agg)
-    diag = evaluate_path(path, y, draws, design, agg, rng, pred_draws=pred_draws)
+    diag = evaluate_path(
+        path, y, draws, design, agg, rng, pred_draws=pred_draws, block_fits=blocks
+    )
     family = acceptable_family(diag, epsilon)
     pick = family.idx_simplest
     estimate = build_estimate(partition, diag.deltas[pick], float(diag.lambdas[pick]))
     windows = extract_windows(estimate, zero_tol)
     return DecisionSummary(
-        path=path, diagnostics=diag, family=family, estimate=estimate, windows=windows
+        path=path,
+        diagnostics=diag,
+        family=family,
+        estimate=estimate,
+        aggregated=agg,
+        targets=targets,
+        windows=windows,
     )

@@ -584,15 +584,23 @@ def predictive_draws(
     design: RegressionDesign,
     rng: np.random.Generator,
     size: int | None = 1000,
+    block_fits: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Posterior predictive replicates of the response, one row per draw."""
+    """Posterior predictive replicates of the response, one row per draw.
+
+    ``block_fits``, the adaptive-block fit at every draw as returned by
+    ``block_fit_draws``, is reused when given instead of being recomputed.
+    """
     idx = subsample_indices(draws.n_draws, size)
     mean = draws.coeffs[idx] @ design.scores.T + draws.alpha[idx] @ design.z.T
-    blocks = block_fit_draws(draws, design, idx)
+    blocks = block_fit_draws(draws, design, idx) if block_fits is None else block_fits[idx]
     if blocks is not None:
-        mean = mean + blocks
-    noise = np.sqrt(draws.sigma2[idx])[:, None] * rng.standard_normal(mean.shape)
-    return mean + noise
+        mean += blocks
+    # built in place: draws x n is the largest array of the decision stage
+    out = rng.standard_normal(mean.shape)
+    out *= np.sqrt(draws.sigma2[idx])[:, None]
+    out += mean
+    return out
 
 
 # --- flat-file draw archive ----------------------------------------------------

@@ -6,6 +6,8 @@ the full simulate -> fit -> summarize -> evaluate chain on a tiny
 problem, and replicate-study resume and worker-pool behavior.
 """
 
+import logging
+
 import yaml
 
 import numpy as np
@@ -267,6 +269,8 @@ def test_summary_tables_are_stamped_and_shaped(pipeline_dirs):
     assert acc[is_simple.index(1)] == 1
     lams = [float(r[0]) for r in rows]
     assert lams == sorted(lams, reverse=True)
+    kkt = [float(r[header.index("kkt_residual")]) for r in rows]
+    assert all(0.0 <= v < 1e-8 for v in kkt)
 
     header, rows = read_table(summ / "windows.csv")
     assert header == ["start", "end", "level", "label"]
@@ -300,6 +304,32 @@ def test_summarize_rejects_mismatched_scalars(pipeline_dirs, tmp_path, capsys):
     )
     assert code == cli.EXIT_CONFIG
     assert "archived fit" in capsys.readouterr().err
+
+
+def _summarize_cells(pipeline_dirs, tmp_path, cells):
+    _, sim, fit_dir, _ = pipeline_dirs
+    out = tmp_path / f"summ{cells}"
+    cfg = write_config(
+        tmp_path / f"summ{cells}.yaml",
+        {"basis": {"curve_size": 8}, "grid_points": 41, "pred_draws": 60, "partition_cells": cells},
+    )
+    argv = ["summarize", "--config", cfg, "--archive", str(fit_dir / "archive")]
+    argv += ["--curves", str(sim / "curves_rep000.csv"), "--scalars", str(sim / "scalars_rep000.csv")]
+    assert run(argv + ["--seed", "7", "--out-dir", str(out)]) == 0
+    header, rows = read_table(out / "path_table.csv")
+    return max(float(r[header.index("kkt_residual")]) for r in rows)
+
+
+def test_summarize_warns_on_inexact_rank_deficient_path(pipeline_dirs, tmp_path, caplog):
+    # the 8-function curve basis caps rank(A) at 8: 10 cells still give an
+    # exact path here, 30 cells do not
+    with caplog.at_level(logging.WARNING, logger="sofreg.cli"):
+        assert _summarize_cells(pipeline_dirs, tmp_path, 10) <= 1e-8
+        assert not [r for r in caplog.records if r.name == "sofreg.cli"]
+        worst = _summarize_cells(pipeline_dirs, tmp_path, 30)
+    assert worst > 1e-8
+    assert "rank 8 below its 30 cells" in caplog.text
+    assert f"residual is {worst:.3g}" in caplog.text
 
 
 def test_evaluate_scores_summary_against_truth(pipeline_dirs, tmp_path):

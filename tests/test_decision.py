@@ -8,6 +8,7 @@ the cumulative-gradient dual recovery in ``kkt_residual``.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,18 +24,18 @@ from sofreg.decision import (
     ci_selection,
     ci_windows,
     count_level_changes,
-    empirical_mse,
     evaluate_path,
     extract_windows,
     fused_lasso_path,
     kkt_residual,
     path_delta_at,
-    predictive_mse_draws,
     selection_on_grid,
     PathDiagnostics,
+    SolutionPath,
 )
-from sofreg.funcdata import CoefCurve, build_design
-from sofreg.gibbs import FitConfig, PosteriorDraws
+from sofreg import decision, gibbs
+from sofreg.funcdata import CoefCurve, SplineTerm, build_design
+from sofreg.gibbs import BlockDraws, FitConfig, PosteriorDraws, predictive_draws, subsample_indices
 
 
 # --- independent solvers used as oracles -------------------------------------------
@@ -326,72 +327,108 @@ def test_aggregate_rejects_curve_outside_partition():
 # --- losses --------------------------------------------------------------------------
 
 
+def _loss_problem(rng, n, k, p, s, deltas, sigma2=0.25):
+    """A design, posterior and path whose entries are the given step levels.
+
+    The design is a namespace with only what the pricing reads: the
+    scalar covariates, curve scores and (no) adaptive blocks.
+    """
+    a = rng.standard_normal((n, k))
+    agg = AggregatedDesign(matrix=a, partition=Partition.regular(Domain(0.0, 1.0), k))
+    q = 4
+    design = SimpleNamespace(
+        z=rng.standard_normal((n, p)), scores=rng.standard_normal((n, q)), adaptive_blocks=[]
+    )
+    draws = SimpleNamespace(
+        coeffs=rng.standard_normal((s, q)),
+        alpha=rng.standard_normal((s, p)),
+        sigma2=np.full(s, sigma2),
+        blocks=[],
+        n_draws=s,
+    )
+    deltas = np.asarray(deltas, dtype=float)
+    path = SolutionPath(
+        lambdas=np.linspace(1.0, 0.0, deltas.shape[0]), deltas=deltas, n_obs=n
+    )
+    return agg, design, draws, path
+
+
 def test_empirical_mse_matches_loop_oracle():
     rng = np.random.default_rng(13)
-    n, k, p = 20, 6, 3
-    a = rng.standard_normal((n, k))
-    part = Partition.regular(Domain(0.0, 1.0), k)
-    agg = AggregatedDesign(matrix=a, partition=part)
+    n, k, p, s = 20, 6, 3, 5
+    agg, design, draws, path = _loss_problem(
+        rng, n, k, p, s, np.random.default_rng(113).standard_normal((4, k))
+    )
     y = rng.standard_normal(n)
-    z = rng.standard_normal((n, p))
-    alpha = rng.standard_normal(p)
-    delta = rng.standard_normal(k)
-    got = empirical_mse(delta, y, alpha, z, agg)
-    want = sum(
-        (y[i] - z[i] @ alpha - a[i] @ delta) ** 2 for i in range(n)
-    ) / n
-    assert got == pytest.approx(want, abs=1e-12)
+    diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(0), pred_draws=s)
+    a, z, alpha = agg.matrix, design.z, draws.alpha.mean(axis=0)
+    for e, delta in enumerate(path.deltas):
+        want = sum((y[i] - z[i] @ alpha - a[i] @ delta) ** 2 for i in range(n)) / n
+        assert diag.empirical[e] == pytest.approx(want, abs=1e-12)
 
 
 def test_empirical_mse_degenerate_cases():
     rng = np.random.default_rng(14)
-    n, k = 15, 4
-    a = rng.standard_normal((n, k))
-    agg = AggregatedDesign(matrix=a, partition=Partition.regular(Domain(0.0, 1.0), k))
+    n, k, p, s = 15, 4, 0, 6
+    delta = rng.standard_normal(k)
+    agg, design, draws, path = _loss_problem(rng, n, k, p, s, [np.zeros(k), delta])
     y = rng.standard_normal(n)
     y -= y.mean()
-    z = np.zeros((n, 0))
-    alpha = np.zeros(0)
     # zero fit on centered data leaves the second moment
-    assert empirical_mse(np.zeros(k), y, alpha, z, agg) == pytest.approx(
-        float(y @ y / n), abs=1e-12
-    )
+    diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(0), pred_draws=s)
+    assert diag.empirical[0] == pytest.approx(float(y @ y / n), abs=1e-12)
     # exactly representable targets give zero loss
-    delta = rng.standard_normal(k)
-    assert empirical_mse(delta, a @ delta, alpha, z, agg) == pytest.approx(0.0, abs=1e-20)
+    diag = evaluate_path(
+        path, agg.matrix @ delta, draws, design, agg, np.random.default_rng(0), pred_draws=s
+    )
+    assert diag.empirical[1] == pytest.approx(0.0, abs=1e-20)
+    assert diag.idx_lambda_min == 1
 
 
 def test_predictive_mse_matches_loop_oracle_per_draw():
     rng = np.random.default_rng(15)
     n, k, p, s = 12, 5, 2, 7
-    a = rng.standard_normal((n, k))
-    agg = AggregatedDesign(matrix=a, partition=Partition.regular(Domain(0.0, 1.0), k))
-    z = rng.standard_normal((n, p))
-    y_pred = rng.standard_normal((s, n))
-    alpha_draws = rng.standard_normal((s, p))
-    delta = rng.standard_normal(k)
-    got = predictive_mse_draws(delta, y_pred, alpha_draws, z, agg)
-    for sdx in range(s):
-        want = sum(
-            (y_pred[sdx, i] - z[i] @ alpha_draws[sdx] - a[i] @ delta) ** 2
-            for i in range(n)
-        ) / n
-        assert got[sdx] == pytest.approx(want, abs=1e-12)
+    agg, design, draws, path = _loss_problem(
+        rng, n, k, p, s, np.random.default_rng(115).standard_normal((3, k))
+    )
+    y = rng.standard_normal(n)
+    diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(5), pred_draws=s)
+    y_pred = predictive_draws(draws, design, np.random.default_rng(5), size=s)
+    a, z = agg.matrix, design.z
+    loss = np.array(
+        [
+            [
+                sum(
+                    (y_pred[sdx, i] - z[i] @ draws.alpha[sdx] - a[i] @ delta) ** 2
+                    for i in range(n)
+                )
+                / n
+                for sdx in range(s)
+            ]
+            for delta in path.deltas
+        ]
+    )
+    best = diag.idx_lambda_min
+    want = 100.0 * (loss - loss[best]) / loss[best]
+    assert np.max(np.abs(diag.percent_increase - want)) < 1e-10
 
 
 def test_predictive_mse_zero_noise_draws_reduce_to_empirical_form():
     rng = np.random.default_rng(16)
-    n, k, p = 10, 4, 2
-    a = rng.standard_normal((n, k))
-    agg = AggregatedDesign(matrix=a, partition=Partition.regular(Domain(0.0, 1.0), k))
-    z = rng.standard_normal((n, p))
-    alpha = rng.standard_normal(p)
-    fitted = z @ alpha + a @ rng.standard_normal(k)
-    delta = rng.standard_normal(k)
-    per_draw = predictive_mse_draws(delta, fitted[None, :], alpha[None, :], z, agg)
-    assert per_draw[0] == pytest.approx(
-        empirical_mse(delta, fitted, alpha, z, agg), abs=1e-12
+    n, k, p, s = 10, 4, 2, 4
+    agg, design, draws, path = _loss_problem(
+        rng, n, k, p, s, np.random.default_rng(116).standard_normal((3, k)), sigma2=0.0
     )
+    # every draw equal and noiseless: each replicate is the fitted response
+    draws.coeffs[:] = draws.coeffs[0]
+    draws.alpha[:] = draws.alpha[0]
+    fitted = design.scores @ draws.coeffs[0] + design.z @ draws.alpha[0]
+    diag = evaluate_path(path, fitted, draws, design, agg, np.random.default_rng(0), pred_draws=s)
+    emp = diag.empirical
+    best = diag.idx_lambda_min
+    want = 100.0 * (emp - emp[best]) / emp[best]
+    for sdx in range(s):
+        assert diag.percent_increase[:, sdx] == pytest.approx(want, abs=1e-9)
 
 
 # --- acceptable family ---------------------------------------------------------------
@@ -523,7 +560,12 @@ def test_ci_selection_and_windows():
 # --- path pricing and the end-to-end pipeline ---------------------------------------
 
 
-def _fabricated_fit(rng, n=40, k_cells=12):
+def _fabricated_fit(rng, n=40, k_cells=12, n_blocks=0):
+    """A posterior concentrated on a three-level step effect, without running a sampler.
+
+    ``n_blocks`` adds that many spline-expanded covariates, each an adaptive
+    block with its own coefficient draws.
+    """
     basis = BSplineBasis(Domain(0.0, 1.0), 10, 3)
     curves = []
     for i in range(n):
@@ -539,11 +581,21 @@ def _fabricated_fit(rng, n=40, k_cells=12):
     agg = aggregate(curves, part)
     delta_true = np.repeat([1.5, 0.0, -1.0], k_cells // 3 + 1)[:k_cells]
     y = agg.matrix @ delta_true + 0.3 * rng.standard_normal(n)
-    design = build_design(curves, basis, y)
+    names = [f"u{j}" for j in range(n_blocks)]
+    scalars = {name: rng.uniform(0.0, 1.0, n) for name in names}
+    rules = [SplineTerm(name, size=5 + j) for j, name in enumerate(names)]
+    design = build_design(curves, basis, y, scalars, rules)
     s = 300
     theta = 0.02 * rng.standard_normal((s, basis.size))
     alpha = 0.05 * rng.standard_normal((s, design.z.shape[1]))
     fitted = agg.matrix @ delta_true
+    blocks = []
+    for blk in design.adaptive_blocks:
+        coeffs = 0.2 * rng.standard_normal(blk.basis.size) + 0.02 * rng.standard_normal(
+            (s, blk.basis.size)
+        )
+        blocks.append(BlockDraws(name=blk.name, basis=blk.basis, coeffs=coeffs))
+        fitted = fitted + blk.design @ coeffs.mean(axis=0)
     draws = PosteriorDraws(
         coeffs=theta,
         basis=basis,
@@ -556,6 +608,7 @@ def _fabricated_fit(rng, n=40, k_cells=12):
         prior="dhs",
         config=FitConfig(),
         y_hat=fitted + design.z @ alpha.mean(axis=0),
+        blocks=blocks,
         seed=0,
     )
     return curves, part, agg, y, design, draws, delta_true
@@ -644,3 +697,81 @@ def test_pipeline_without_scalar_covariates_matches_direct_path():
     direct = fused_lasso_path(draws.y_hat, agg)
     assert np.allclose(summary.path.lambdas, direct.lambdas)
     assert np.allclose(summary.path.deltas, direct.deltas)
+
+
+def _direct_pricing(diag, y, draws, design, agg, rng, pred_draws):
+    """The loss of every entry at every replicate, summed out one entry at a time."""
+    idx = subsample_indices(draws.n_draws, pred_draws)
+    y_pred = predictive_draws(draws, design, rng, size=pred_draws)
+    block_fit = sum(
+        blk.coeffs @ dblk.design.T
+        for blk, dblk in zip(draws.blocks, design.adaptive_blocks)
+    )
+    adj = y - design.z @ draws.alpha.mean(axis=0) - block_fit.mean(axis=0)
+    adj_pred = y_pred - draws.alpha[idx] @ design.z.T - block_fit[idx]
+    emp = np.empty(diag.lambdas.size)
+    pred = np.empty((diag.lambdas.size, idx.size))
+    for i, delta in enumerate(diag.deltas):
+        fit_i = agg.matrix @ delta
+        emp[i] = np.mean((adj - fit_i) ** 2)
+        pred[i] = np.mean((adj_pred - fit_i[None, :]) ** 2, axis=1)
+    best = int(np.argmin(emp))
+    percent = 100.0 * (pred - pred[best]) / pred[best]
+    return emp, percent, best
+
+
+def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
+    rng = np.random.default_rng(24)
+    # 20 cells on a 10-function curve basis: rank(A) <= 10 < 20
+    curves, part, agg, y, design, draws, _ = _fabricated_fit(rng, n=60, k_cells=20, n_blocks=2)
+    assert np.linalg.matrix_rank(agg.matrix) < part.size
+    targets = draws.y_hat - design.z @ draws.alpha.mean(axis=0)
+    targets = targets - sum(
+        blk.design @ bd.coeffs.mean(axis=0) for blk, bd in zip(design.adaptive_blocks, draws.blocks)
+    )
+    path = fused_lasso_path(targets, agg)
+    diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(3), pred_draws=120)
+    emp, percent, best = _direct_pricing(
+        diag, y, draws, design, agg, np.random.default_rng(3), pred_draws=120
+    )
+
+    assert path.rank_deficient
+    # the optimum sits above the rank boundary, where the path can store
+    # knots whose fits agree to rounding; against those, membership is a
+    # coin toss in either arithmetic, so this case must have none
+    others = np.arange(diag.lambdas.size) != best
+    assert np.min(np.abs(percent[others])) > 1e-6
+    assert np.max(np.abs(diag.empirical - emp) / emp) < 1e-12
+    assert np.max(np.abs(diag.percent_increase - percent)) < 1e-9
+    assert diag.idx_lambda_min == best
+    assert np.all(diag.percent_increase[best] == 0.0)
+    fam = acceptable_family(diag)
+    ref_fam = acceptable_family(
+        PathDiagnostics(
+            lambdas=diag.lambdas,
+            deltas=diag.deltas,
+            n_level_changes=diag.n_level_changes,
+            empirical=emp,
+            percent_increase=percent,
+            idx_lambda_min=best,
+        )
+    )
+    assert np.array_equal(fam.members, ref_fam.members)
+    assert fam.idx_simplest == ref_fam.idx_simplest
+
+
+def test_analyze_computes_block_fits_once(monkeypatch):
+    rng = np.random.default_rng(23)
+    curves, part, _, y, design, draws, _ = _fabricated_fit(rng, n=50, k_cells=9, n_blocks=2)
+    assert len(design.adaptive_blocks) == 2
+    original, calls = gibbs.block_fit_draws, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # wrap the function everywhere the pipeline looks it up
+    monkeypatch.setattr(gibbs, "block_fit_draws", counted)
+    monkeypatch.setattr(decision, "block_fit_draws", counted)
+    analyze(draws, design, curves, part, y, np.random.default_rng(4), pred_draws=30)
+    assert len(calls) == 1
