@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -43,6 +44,8 @@ from sofreg.dhs import (
     sample_z_dist,
 )
 from sofreg.funcdata import RegressionDesign
+
+log = logging.getLogger(__name__)
 
 PRIOR_KINDS = ("dhs", "pspline", "local-pspline")
 
@@ -133,12 +136,18 @@ def sample_gaussian_by_precision(
     """Draw from N(prec^-1 lin, prec^-1) via Cholesky of the precision.
 
     One trace-scaled jitter retry is attempted before giving up, so a
-    marginally indefinite matrix from roundoff does not kill a long run.
+    marginally indefinite matrix from roundoff does not kill a long run;
+    the retry is logged as a warning.
     """
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
         bump = 1e-8 * np.trace(prec) / prec.shape[0]
+        log.warning(
+            "%d x %d precision matrix failed its Cholesky factorization; "
+            "retrying with %.3g added to the diagonal",
+            prec.shape[0], prec.shape[0], bump,
+        )
         try:
             chol = np.linalg.cholesky(prec + bump * np.eye(prec.shape[0]))
         except np.linalg.LinAlgError as err:

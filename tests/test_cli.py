@@ -306,8 +306,7 @@ def test_summarize_rejects_mismatched_scalars(pipeline_dirs, tmp_path, capsys):
     assert "archived fit" in capsys.readouterr().err
 
 
-def _summarize_cells(pipeline_dirs, tmp_path, cells):
-    _, sim, fit_dir, _ = pipeline_dirs
+def _summarize_cells(sim, fit_dir, tmp_path, cells):
     out = tmp_path / f"summ{cells}"
     cfg = write_config(
         tmp_path / f"summ{cells}.yaml",
@@ -321,12 +320,26 @@ def _summarize_cells(pipeline_dirs, tmp_path, cells):
 
 
 def test_summarize_warns_on_inexact_rank_deficient_path(pipeline_dirs, tmp_path, caplog):
-    # the 8-function curve basis caps rank(A) at 8: 10 cells still give an
-    # exact path here, 30 cells do not
+    # the 8-function curve basis caps rank(A) at 8: on this pspline posterior
+    # 10 cells still give an exact path, 30 cells do not.  Whether a path is
+    # inexact depends on the posterior draws, so the archive comes from a
+    # pspline fit, which no change to the DHS random stream moves.
+    _, sim, _, _ = pipeline_dirs
+    fit_dir = tmp_path / "fit"
+    fit_cfg = write_config(
+        tmp_path / "fit.yaml",
+        {
+            "basis": {"curve_size": 8, "coef_size": 8},
+            "sampler": {"prior": "pspline", "burnin": 80, "draws": 80},
+        },
+    )
+    argv = ["fit", "--config", fit_cfg, "--curves", str(sim / "curves_rep000.csv")]
+    argv += ["--scalars", str(sim / "scalars_rep000.csv"), "--seed", "10", "--out-dir", str(fit_dir)]
+    assert run(argv) == 0
     with caplog.at_level(logging.WARNING, logger="sofreg.cli"):
-        assert _summarize_cells(pipeline_dirs, tmp_path, 10) <= 1e-8
+        assert _summarize_cells(sim, fit_dir, tmp_path, 10) <= 1e-8
         assert not [r for r in caplog.records if r.name == "sofreg.cli"]
-        worst = _summarize_cells(pipeline_dirs, tmp_path, 30)
+        worst = _summarize_cells(sim, fit_dir, tmp_path, 30)
     assert worst > 1e-8
     assert "rank 8 below its 30 cells" in caplog.text
     assert f"residual is {worst:.3g}" in caplog.text

@@ -15,11 +15,13 @@ from sofreg.dhs import (
     LOG_CHI2_PROB,
     LOG_CHI2_VAR,
     LOG_SQUARE_JITTER,
+    _PG_TRUNC,
     DhsConfig,
     DhsState,
     _level_log_density,
     _log_vol_level_joint,
-    _site_log_density,
+    _pg_rtigauss,
+    _site_log_densities,
     dhs_step,
     init_dhs_state,
     polya_gamma_mean,
@@ -44,6 +46,37 @@ def pg_gamma_sum_oracle(tilt: float, rng: np.random.Generator, n: int, terms: in
     return (g / denom).sum(axis=1) / (2 * math.pi**2)
 
 
+def _z_log_density(x: float, a: float, b: float) -> float:
+    return a * x - (a + b) * (max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+
+
+def site_log_density(
+    hk: float,
+    k: int,
+    h: np.ndarray,
+    ystar_k: float,
+    mu: float,
+    phi: float,
+    a: float,
+    b: float,
+) -> float:
+    """Collapsed log density of one volatility given its neighbours, one site at a time.
+
+    The exact log chi-squared observation density plus the Z(a, b) laws of
+    the site's own innovation and, when there is a next site, of the next
+    site's innovation: the scalar reference for the sampler's array version.
+    """
+    eps = ystar_k - hk
+    if eps > 690.0:
+        return -math.inf
+    val = 0.5 * (eps - math.exp(eps))
+    prev = h[k - 1] - mu if k > 0 else 0.0
+    val += _z_log_density((hk - mu) - phi * prev, a, b)
+    if k + 1 < h.size:
+        val += _z_log_density((h[k + 1] - mu) - phi * (hk - mu), a, b)
+    return val
+
+
 # --- Polya-Gamma sampler ----------------------------------------------------
 
 
@@ -63,6 +96,36 @@ def test_pg_devroye_distribution_matches_gamma_sum(tilt):
     devroye = sample_polya_gamma_vec(np.full(4000, tilt), rng)
     oracle = pg_gamma_sum_oracle(tilt, rng, 4000)
     assert stats.ks_2samp(devroye, oracle).pvalue > 1e-3
+
+
+def test_pg_interleaved_tilts_in_one_call():
+    # one call with mixed tilts: a mask slip in the array rounds would move a
+    # draw into another entry's slot, and tilts of 4 and more reach the
+    # inverse-Gaussian branch of the truncated proposal (|tilt| >= 3.125)
+    tilts = np.array([0.0, 0.7, -3.0, 4.0, 12.0, 40.0])
+    n = 4000
+    rng = np.random.default_rng(14)
+    draws = sample_polya_gamma_vec(np.tile(tilts, n), rng).reshape(n, tilts.size)
+    for j, tilt in enumerate(tilts):
+        col = draws[:, j]
+        assert abs(col.mean() - polya_gamma_mean(tilt)) < 6 * col.std() / math.sqrt(n), tilt
+        p = stats.ks_2samp(col, pg_gamma_sum_oracle(tilt, rng, n)).pvalue
+        assert p > 1e-3, f"tilt {tilt}: KS p={p:.3g}"
+
+
+@pytest.mark.parametrize("z", [0.0, 1.0, 1.6, 5.0])
+def test_pg_truncated_inverse_gaussian_proposal_matches_scipy(z):
+    # IG(1/z, 1) truncated to (0, 0.64]: z < 1/0.64 takes the inverse
+    # chi-square branch (z = 0 is the Levy law), larger z the inverse Gaussian
+    rng = np.random.default_rng(15)
+    draws = _pg_rtigauss(np.full(20_000, z), rng)
+    assert np.all((draws > 0) & (draws <= _PG_TRUNC))
+    if z == 0.0:
+        law = lambda q: stats.norm.sf(1.0 / np.sqrt(q)) / stats.norm.sf(1.0 / math.sqrt(_PG_TRUNC))
+    else:
+        ig = stats.invgauss(mu=1.0 / z, scale=1.0)
+        law = lambda q: ig.cdf(q) / ig.cdf(_PG_TRUNC)
+    assert stats.kstest(draws, law).pvalue > 1e-3
 
 
 def test_config_requires_innovation_parameters_summing_to_one():
@@ -269,6 +332,24 @@ def test_level_slice_escapes_unidentified_tail_state():
     assert abs(seq.mean()) < 1.0
 
 
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_site_log_densities_match_scalar_oracle(m):
+    # both parity classes, the first and last sites, and the -inf guard
+    # where the observation term underflows (eps > 690)
+    rng = np.random.default_rng(39)
+    h = rng.normal(size=m) * 2.0
+    ystar = rng.normal(size=m) * 3.0
+    mu, phi = 0.4, -0.7
+    for sites in (np.arange(0, m, 2), np.arange(1, m, 2)):
+        x = rng.normal(size=sites.size) * 4.0
+        x[:1] = ystar[sites[:1]] - 700.0
+        got = _site_log_densities(sites, h, ystar, mu, phi, 0.3, 0.7)(x)
+        want = np.array([site_log_density(xi, k, h, ystar[k], mu, phi, 0.3, 0.7)
+                         for xi, k in zip(x, sites)])
+        assert np.all(got[:1] == -np.inf) and np.all(want[:1] == -np.inf)
+        assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12)
+
+
 def test_sitewise_slice_invariant_law_matches_exact_density():
     # one site, so no neighbour ordering: the chain's stationary law is the
     # collapsed conditional itself, available on a grid
@@ -279,7 +360,7 @@ def test_sitewise_slice_invariant_law_matches_exact_density():
     mu, phi = 0.3, 0.6
     grid = np.linspace(-30, 30, 120_001)
     logd = np.array(
-        [_site_log_density(g, 0, np.zeros(1), ystar, mu, phi, 0.5, 0.5) for g in grid]
+        [site_log_density(g, 0, np.zeros(1), ystar, mu, phi, 0.5, 0.5) for g in grid]
     )
     dens = np.exp(logd - logd.max())
     cdf = np.cumsum(dens)
@@ -291,6 +372,76 @@ def test_sitewise_slice_invariant_law_matches_exact_density():
         sample_log_vols_sitewise(d2, state, config, rng)
         draws[i] = state.h[0]
     assert stats.kstest(draws[1000::5], lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3
+
+
+def _dense_joint_site_law(d2, mu, phi, grid):
+    """The collapsed conditional of the whole path on a dense m-dimensional grid.
+
+    Site k's density on the path cut after k holds only its observation
+    and its own innovation, so those terms summed over k are the joint log
+    density; each depends on (h[k-1], h[k]) alone and is tabulated once.
+    """
+    m, g = d2.size, grid.size
+    ystar = np.log(d2**2 + LOG_SQUARE_JITTER)
+    logp = np.zeros((g,) * m)
+    for k in range(m):
+        if k == 0:
+            term = np.array([site_log_density(x, 0, np.array([x]), ystar[0], mu, phi, 0.5, 0.5)
+                             for x in grid])
+            shape = (g,) + (1,) * (m - 1)
+        else:
+            cut = np.zeros(k + 1)
+            term = np.empty((g, g))
+            for i, xp in enumerate(grid):
+                cut[k - 1] = xp
+                for j, x in enumerate(grid):
+                    cut[k] = x
+                    term[i, j] = site_log_density(x, k, cut, ystar[k], mu, phi, 0.5, 0.5)
+            shape = (1,) * (k - 1) + (g, g) + (1,) * (m - k - 1)
+        logp = logp + term.reshape(shape)
+    p = np.exp(logp - logp.max())
+    return p / p.sum()
+
+
+def _grid_cdf(values, mass):
+    # each grid point's mass spread over its cell, linear between cell edges
+    step = values[1] - values[0]
+    edges = np.r_[values[0] - step / 2, values + step / 2]
+    cdf = np.r_[0.0, np.cumsum(mass)]
+    return lambda x: np.interp(x, edges, cdf)
+
+
+@pytest.mark.parametrize("d2", [np.array([0.7, 0.05]), np.array([0.3, 2.2, 0.01])])
+def test_parity_blocked_slice_matches_dense_joint_grid(d2):
+    # m = 2 and 3: a first site with no previous one, a last with no next one,
+    # and at m = 3 an odd site between two even ones.  The marginals and the
+    # neighbour differences of the chain must match the dense joint law; the
+    # differences see the dependence between the two parity classes.
+    config = DhsConfig()
+    mu, phi = 0.3, 0.8
+    m = d2.size
+    grid = np.linspace(-24.0, 16.0, 161)
+    law = _dense_joint_site_law(d2, mu, phi, grid)
+    state = DhsState(h=np.zeros(m), mu_h=mu, phi=phi, lambda0=1.0,
+                     indicators=np.zeros(m, dtype=int), xi=np.ones(m), xi_mu=1.0)
+    rng = np.random.default_rng(100)
+    draws = np.empty((12_000, m))
+    for i in range(draws.shape[0]):
+        sample_log_vols_sitewise(d2, state, config, rng)
+        draws[i] = state.h
+    draws = draws[500::3]
+    for k in range(m):
+        marginal = law.sum(axis=tuple(j for j in range(m) if j != k))
+        p = stats.kstest(draws[:, k], _grid_cdf(grid, marginal)).pvalue
+        assert p > 1e-3, f"site {k}: KS p={p:.3g}"
+    step = grid[1] - grid[0]
+    offsets = np.arange(-(grid.size - 1), grid.size)
+    for k in range(m - 1):
+        pair = law.sum(axis=tuple(j for j in range(m) if j not in (k, k + 1)))
+        i0, i1 = np.indices(pair.shape)
+        diff_mass = np.bincount((i1 - i0).ravel() + grid.size - 1, weights=pair.ravel())
+        p = stats.kstest(draws[:, k + 1] - draws[:, k], _grid_cdf(offsets * step, diff_mass)).pvalue
+        assert p > 1e-3, f"sites {k}, {k + 1}: KS p={p:.3g}"
 
 
 def _draw_path_given_level(d2, state, config, rng):

@@ -3,6 +3,7 @@ consistency check, and an independent augmentation route for the phi=0 case."""
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -92,11 +93,18 @@ def test_gaussian_precision_draw_moments():
     assert np.max(np.abs(np.cov(draws.T) - cov)) < 0.05 * np.max(np.diag(cov))
 
 
-def test_gaussian_precision_jitter_retry_and_failure():
-    # slightly indefinite from roundoff: retry succeeds
+def test_gaussian_precision_jitter_retry_and_failure(caplog):
+    caplog.set_level(logging.WARNING, logger="sofreg.gibbs")
+    # well conditioned: no retry, no warning
+    sample_gaussian_by_precision(np.eye(3) * 2.0, np.ones(3), np.random.default_rng(0))
+    assert not caplog.records
+    # slightly indefinite from roundoff: retry succeeds and is logged
     prec = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-15]])
     draw = sample_gaussian_by_precision(prec, np.zeros(2), np.random.default_rng(0))
     assert np.all(np.isfinite(draw))
+    (record,) = caplog.records
+    assert record.name == "sofreg.gibbs" and record.levelname == "WARNING"
+    assert "2 x 2" in record.getMessage() and "1e-08 added" in record.getMessage()
     with pytest.raises(NumericalError):
         sample_gaussian_by_precision(
             np.array([[1.0, 0.0], [0.0, -5.0]]), np.zeros(2), np.random.default_rng(0)
