@@ -23,6 +23,7 @@ from sofreg.gibbs import (
     NumericalError,
     PosteriorDraws,
     block_fit_draws,
+    draw_chunks,
     predictive_draws,
     subsample_indices,
 )
@@ -94,27 +95,39 @@ def aggregate(curves: list[CoefCurve], partition: Partition) -> AggregatedDesign
 
     Entries over cells disjoint from a subject's interval are zero, so row
     sums equal the subject's full-interval integral.
+
+    Curves sharing a basis layout and a domain share one (cells, K) weight
+    matrix, with zero rows for the cells their domain misses.  Each row is
+    one ``np.vecdot`` of the curve's coefficients with that matrix: per
+    cell the same dot product on the same operands as ``coeffs @ weights``.
+    A stacked ``C @ W`` product would sum in another order, and the path's
+    knots on a rank-deficient design move with the last bits of the matrix.
     """
     span = partition.span
     cells = partition.cells()
-    memo: dict[tuple, np.ndarray] = {}
+    memo: dict[tuple, np.ndarray] = {}  # cell integrals by rounded intersection
+    layouts: dict[tuple, np.ndarray] = {}  # weight matrices by (basis, domain)
     rows = np.zeros((len(curves), partition.size))
     for i, curve in enumerate(curves):
-        if not span.contains(curve.domain):
-            raise ValueError(
-                f"subject {curve.subject_id} interval not inside the partition span"
-            )
         bkey = (curve.basis.size, curve.basis.degree, curve.basis.domain.lo, curve.basis.domain.hi)
-        for k, cell in enumerate(cells):
-            inter = cell.intersect(curve.domain)
-            if inter is None:
-                continue
-            key = (bkey, round(inter.lo, 12), round(inter.hi, 12))
-            weights = memo.get(key)
-            if weights is None:
-                weights = integrate_basis(curve.basis, inter)
-                memo[key] = weights
-            rows[i, k] = curve.coeffs @ weights
+        gkey = (bkey, curve.domain.lo, curve.domain.hi)
+        weights = layouts.get(gkey)
+        if weights is None:
+            if not span.contains(curve.domain):
+                raise ValueError(
+                    f"subject {curve.subject_id} interval not inside the partition span"
+                )
+            weights = np.zeros((partition.size, curve.basis.size))
+            for k, cell in enumerate(cells):
+                inter = cell.intersect(curve.domain)
+                if inter is None:
+                    continue
+                key = (bkey, round(inter.lo, 12), round(inter.hi, 12))
+                if key not in memo:
+                    memo[key] = integrate_basis(curve.basis, inter)
+                weights[k] = memo[key]
+            layouts[gkey] = weights
+        rows[i] = np.vecdot(curve.coeffs, weights)
     return AggregatedDesign(matrix=rows, partition=partition)
 
 
@@ -428,12 +441,16 @@ def evaluate_path(
     if block_fits is None:
         block_fits = block_fit_draws(draws, design, np.arange(draws.n_draws))
     idx = subsample_indices(draws.n_draws, pred_draws)
-    # replicates less each draw's scalar and block fit, adjusted in place
+    # replicates less each draw's scalar and block fit, adjusted in place a
+    # chunk of draws at a time, so that no second draws x n array forms
     adj_pred = predictive_draws(draws, design, rng, size=pred_draws, block_fits=block_fits)
-    adj_pred -= draws.alpha[idx] @ design.z.T
+    for rows in draw_chunks(idx.size):
+        part = adj_pred[rows]
+        part -= draws.alpha[idx[rows]] @ design.z.T
+        if block_fits is not None:
+            part -= block_fits[idx[rows]]
     adj = y - design.z @ draws.alpha.mean(axis=0)
     if block_fits is not None:
-        adj_pred -= block_fits[idx]
         adj = adj - block_fits.mean(axis=0)
 
     fits = agg.matrix @ deltas.T

@@ -17,6 +17,7 @@ expanded columns are standardized, and everything is packed into a
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -356,26 +357,41 @@ def write_curves(path, curves: Sequence[CurveObservation]) -> None:
 
 
 def read_curves(path) -> list[CurveObservation]:
-    """Read a long-format curve file; rows for one subject must be contiguous."""
+    """Read a long-format curve file; rows for one subject must be contiguous.
+
+    The body is parsed by one ``np.loadtxt`` call with the csv module's
+    quoting, so ids may hold commas, quotes and ``#``.  A subject whose
+    rows are split by another subject's is an error.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header[:3]] != ["subject_id", "t", "x"]:
             raise ValueError(f"{path}: expected header subject_id,t,x")
-        order: list[str] = []
-        rows: dict[str, list[tuple[float, float]]] = {}
-        for line in reader:
-            if not line:
-                continue
-            sid, t, x = line[0], float(line[1]), float(line[2])
-            if sid not in rows:
-                order.append(sid)
-                rows[sid] = []
-            rows[sid].append((t, x))
+        with warnings.catch_warnings():
+            # a header-only file is an empty cohort, not a problem to report
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                body = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar='"', usecols=(0, 1, 2),
+                    dtype=[("id", object), ("t", float), ("x", float)], ndmin=1,
+                )
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
+    if body.size == 0:
+        return []
+    ids = body["id"]
+    t = np.ascontiguousarray(body["t"])
+    x = np.ascontiguousarray(body["x"])
+    starts = np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1]
+    stops = np.r_[starts[1:], ids.size]
+    seen: set[str] = set()
     curves = []
-    for sid in order:
-        pts = np.array(rows[sid])
-        curves.append(CurveObservation(sid, pts[:, 0], pts[:, 1]))
+    for a, b in zip(starts, stops):
+        sid = ids[a]
+        if sid in seen:
+            raise ValueError(f"{path}: rows of subject {sid} are not contiguous")
+        seen.add(sid)
+        curves.append(CurveObservation(sid, t[a:b], x[a:b]))
     return curves
 
 

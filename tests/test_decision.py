@@ -34,7 +34,14 @@ from sofreg.decision import (
     SolutionPath,
 )
 from sofreg import decision, gibbs
-from sofreg.funcdata import CoefCurve, SplineTerm, build_design
+from sofreg.funcdata import (
+    CoefCurve,
+    CurveObservation,
+    SplineTerm,
+    build_design,
+    fit_curve_coeffs,
+    fit_curves,
+)
 from sofreg.gibbs import BlockDraws, FitConfig, PosteriorDraws, predictive_draws, subsample_indices
 
 
@@ -115,6 +122,29 @@ def prox_gradient_k3(r, a, lam_std, iters=500_000, tol=1e-15):
             return x_new
         x = x_new
     return x
+
+
+def aggregate_oracle(curves, partition):
+    """Cell integrals by one ``coeffs @ weights`` per subject and cell."""
+    span = partition.span
+    cells = partition.cells()
+    memo = {}
+    rows = np.zeros((len(curves), partition.size))
+    for i, curve in enumerate(curves):
+        if not span.contains(curve.domain):
+            raise ValueError(f"subject {curve.subject_id} interval not inside the partition span")
+        bkey = (curve.basis.size, curve.basis.degree, curve.basis.domain.lo, curve.basis.domain.hi)
+        for k, cell in enumerate(cells):
+            inter = cell.intersect(curve.domain)
+            if inter is None:
+                continue
+            key = (bkey, round(inter.lo, 12), round(inter.hi, 12))
+            weights = memo.get(key)
+            if weights is None:
+                weights = integrate_basis(curve.basis, inter)
+                memo[key] = weights
+            rows[i, k] = curve.coeffs @ weights
+    return rows
 
 
 def random_problem(rng, n, k):
@@ -301,9 +331,29 @@ def test_aggregate_row_sums_match_full_integral():
         )
     part = Partition.regular(Domain(0.0, 1.0), 17)
     agg = aggregate(curves, part)
+    assert np.array_equal(agg.matrix, aggregate_oracle(curves, part))
     for row, curve in zip(agg.matrix, curves):
         full = float(curve.coeffs @ integrate_basis(basis, curve.domain))
         assert abs(row.sum() - full) < 1e-8
+
+
+def test_aggregate_matches_per_cell_oracle_bitwise_on_fitted_curves():
+    rng = np.random.default_rng(31)
+    basis = BSplineBasis(Domain(0.0, 1.0), 15, 3)
+    grid = np.linspace(0.0, 1.0, 41)
+    obs = [CurveObservation(f"s{i}", grid, rng.standard_normal(grid.size)) for i in range(25)]
+    other = np.linspace(0.0, 1.0, 33)
+    obs += [CurveObservation(f"u{i}", other, rng.standard_normal(other.size)) for i in range(5)]
+    curves = fit_curves(obs, basis)
+    # subjects seen on part of the domain: a domain group of their own
+    short = Domain(0.15, 0.8)
+    curves[3:6] = [CoefCurve(c.subject_id, c.coeffs, basis, short) for c in curves[3:6]]
+    assert curves[0].coeffs.strides != (8,)  # columns of one shared solve
+    single = [fit_curve_coeffs(obs[-1], basis)]
+    assert single[0].coeffs.flags.c_contiguous
+    for part in (Partition.from_grid(grid), Partition.regular(basis.domain, 7)):
+        for group in (curves, single):
+            assert np.array_equal(aggregate(group, part).matrix, aggregate_oracle(group, part))
 
 
 def test_aggregate_short_subject_has_zero_trailing_cells():

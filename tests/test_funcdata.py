@@ -237,3 +237,43 @@ def test_read_curves_rejects_bad_header(tmp_path):
     path.write_text("id,time,value\na,0,1\n")
     with pytest.raises(ValueError, match="header"):
         read_curves(path)
+
+
+def test_read_curves_header_only_file_is_empty_without_warning(tmp_path, recwarn):
+    path = tmp_path / "empty.csv"
+    write_curves(path, [])
+    assert read_curves(path) == []
+    assert len(recwarn) == 0
+
+
+def test_read_curves_rejects_split_subject(tmp_path):
+    path = tmp_path / "split.csv"
+    path.write_text("subject_id,t,x\na,0,1\na,1,2\nb,0,3\nb,1,4\na,2,5\n")
+    with pytest.raises(ValueError, match="subject a .*not contiguous"):
+        read_curves(path)
+
+
+def test_read_curves_quoted_ids_blank_lines_and_crlf(tmp_path):
+    odd = 'x,"y"#z'  # a comma, a quote and a comment character
+    curves = [
+        CurveObservation(odd, [0.0, 0.5, 1.0], [1.0, -2.0, 3.0]),
+        CurveObservation("plain", [0.1, 0.2], [4.0, 5.0]),
+    ]
+    path = tmp_path / "odd.csv"
+    write_curves(path, curves)  # csv module line ends: CRLF
+    assert b"\r\n" in path.read_bytes()
+    back = read_curves(path)
+    assert [c.subject_id for c in back] == [odd, "plain"]
+    for orig, rt in zip(curves, back):
+        assert np.array_equal(orig.t, rt.t) and np.array_equal(orig.x, rt.x)
+
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join(lines[:3] + [b""] + lines[3:]))
+    assert [c.subject_id for c in read_curves(path)] == [odd, "plain"]
+
+
+def test_read_curves_rejects_non_numeric_value(tmp_path):
+    path = tmp_path / "text.csv"
+    path.write_text("subject_id,t,x\na,0,1\na,1,abc\n")
+    with pytest.raises(ValueError, match="abc"):
+        read_curves(path)
