@@ -39,7 +39,6 @@ from sofreg.funcdata import (
     CurveObservation,
     RegressionDesign,
     build_design,
-    cumulative_effect,
     fit_curves,
     functional_scores,
     read_curves,
@@ -92,7 +91,6 @@ __all__ = [
     "ci_selection",
     "ci_windows",
     "cross_gram",
-    "cumulative_effect",
     "eval_basis",
     "eval_basis_matrix",
     "evaluate",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sofreg.basis import Domain, integrate_basis
-from sofreg.funcdata import CoefCurve, RegressionDesign
+from sofreg.funcdata import CoefCurve, RegressionDesign, group_by_layout
 from sofreg.gibbs import (
     NumericalError,
     PosteriorDraws,
@@ -97,37 +97,33 @@ def aggregate(curves: list[CoefCurve], partition: Partition) -> AggregatedDesign
     sums equal the subject's full-interval integral.
 
     Curves sharing a basis layout and a domain share one (cells, K) weight
-    matrix, with zero rows for the cells their domain misses.  Each row is
-    one ``np.vecdot`` of the curve's coefficients with that matrix: per
-    cell the same dot product on the same operands as ``coeffs @ weights``.
-    A stacked ``C @ W`` product would sum in another order, and the path's
-    knots on a rank-deficient design move with the last bits of the matrix.
+    matrix, with zero rows for the cells their domain misses, and take one
+    ``np.vecdot`` of their coefficients with it: per cell the same dot
+    product on the same operands as ``coeffs @ weights``.  A ``C @ W.T``
+    product would sum in another order, and the path's knots on a
+    rank-deficient design move with the last bits of the matrix.
     """
     span = partition.span
     cells = partition.cells()
     memo: dict[tuple, np.ndarray] = {}  # cell integrals by rounded intersection
-    layouts: dict[tuple, np.ndarray] = {}  # weight matrices by (basis, domain)
     rows = np.zeros((len(curves), partition.size))
-    for i, curve in enumerate(curves):
-        bkey = (curve.basis.size, curve.basis.degree, curve.basis.domain.lo, curve.basis.domain.hi)
-        gkey = (bkey, curve.domain.lo, curve.domain.hi)
-        weights = layouts.get(gkey)
-        if weights is None:
-            if not span.contains(curve.domain):
-                raise ValueError(
-                    f"subject {curve.subject_id} interval not inside the partition span"
-                )
-            weights = np.zeros((partition.size, curve.basis.size))
-            for k, cell in enumerate(cells):
-                inter = cell.intersect(curve.domain)
-                if inter is None:
-                    continue
-                key = (bkey, round(inter.lo, 12), round(inter.hi, 12))
-                if key not in memo:
-                    memo[key] = integrate_basis(curve.basis, inter)
-                weights[k] = memo[key]
-            layouts[gkey] = weights
-        rows[i] = np.vecdot(curve.coeffs, weights)
+    for first, idx, coeffs in group_by_layout(curves):
+        if not span.contains(first.domain):
+            raise ValueError(
+                f"subject {first.subject_id} interval not inside the partition span"
+            )
+        basis = first.basis
+        bkey = (basis.size, basis.degree, basis.domain.lo, basis.domain.hi)
+        weights = np.zeros((partition.size, basis.size))
+        for k, cell in enumerate(cells):
+            inter = cell.intersect(first.domain)
+            if inter is None:
+                continue
+            key = (bkey, round(inter.lo, 12), round(inter.hi, 12))
+            if key not in memo:
+                memo[key] = integrate_basis(basis, inter)
+            weights[k] = memo[key]
+        rows[idx] = np.vecdot(coeffs[:, None, :], weights)
     return AggregatedDesign(matrix=rows, partition=partition)
 
 
@@ -162,20 +158,25 @@ def _lasso_columns(a: np.ndarray) -> np.ndarray:
     return np.column_stack([tail_sums[:, 0], tail_sums[:, 1:]])
 
 
-def _delta_from_gamma(gamma: np.ndarray) -> np.ndarray:
-    out = np.empty(gamma.size)
-    out[0] = gamma[0]
-    out[1:] = gamma[0] + np.cumsum(gamma[1:])
-    return out
-
-
 def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath:
     """Exact homotopy in the penalty, from full fusion down to no penalty.
 
+    On each segment the active coefficients are ``a - t b`` and the
+    inactive correlations ``c(t) = p + t q``.  The next event is the
+    largest root in ``(0, t_now]`` that obeys the LARS-lasso sign rules:
+    an inactive column hits with sign ``s`` at ``t = s p / (1 - s q)``
+    only if ``s q - 1 < 0``, so that ``s c(t) - t`` rises through zero as
+    the penalty falls; an active column drops at ``t = a_j / b_j`` only if
+    ``sign_j b_j < 0``, so that its coefficient moves toward zero.  The
+    root an event leaves behind (the column just added at its own zero
+    crossing, the column just dropped on its bound) fails its rule, so no
+    event is ever undone at once.  Each event stores one knot, computed
+    from the active set before the event; simultaneous events share it.
+
     Every stored knot satisfies the stationarity conditions; between knots
-    the solution is affine in the penalty.  With more cells than subjects
-    the homotopy stops at the rank boundary and the path is flagged, since
-    the unpenalized endpoint is not identified.
+    the solution is affine in the penalty.  When the active columns become
+    linearly dependent the homotopy stops at that rank boundary and the
+    path is flagged, since the solution below it is not identified.
     """
     r = np.asarray(targets, dtype=float)
     a = agg.matrix
@@ -191,24 +192,21 @@ def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath
     gram_full = cols.T @ cols
     rhs_full = cols.T @ r
 
-    active = [0]  # the level column is never penalized
-    signs = {0: 0.0}
-    knot_lams: list[float] = []
-    knot_gammas: list[np.ndarray] = []
-    rank_deficient = False
+    active = np.zeros(size, dtype=bool)
+    active[0] = True  # the level column is never penalized
+    signs = np.zeros(size)
 
     def solve_coefs() -> tuple[np.ndarray, np.ndarray] | None:
-        g = gram_full[np.ix_(active, active)]
+        idx = np.flatnonzero(active)
         try:
-            chol = np.linalg.cholesky(g)
+            chol = np.linalg.cholesky(gram_full[np.ix_(idx, idx)])
         except np.linalg.LinAlgError:
             return None
         piv = np.diag(chol)
         # near-singular Gram: treat as the rank boundary rather than solving garbage
         if piv.min() <= 1e-9 * max(piv.max(), 1.0):
             return None
-        sv = np.array([signs[j] for j in active])
-        lhs = np.column_stack([rhs_full[active], sv])
+        lhs = np.column_stack([rhs_full[idx], signs[idx]])
         sol = np.linalg.solve(chol.T, np.linalg.solve(chol, lhs))
         return sol[:, 0], sol[:, 1]
 
@@ -217,85 +215,40 @@ def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath
         raise NumericalError("aggregated design has a zero total-integral column")
     a_vec, b_vec = base
 
-    inactive = list(range(1, size))
-    # correlations of inactive columns: c_j(lam) = p_j + lam * q_j
+    knot_lams: list[float] = []
+    knot_gammas: list[np.ndarray] = []
+    rank_deficient = False
     lam = np.inf
-    last_event: tuple[str, int] | None = None
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 40 * size + 100:
-            raise NumericalError("penalty homotopy failed to make progress")
-        fit_a = cols[:, active] @ a_vec
-        fit_b = cols[:, active] @ b_vec
-        p = cols[:, inactive].T @ (r - fit_a) if inactive else np.empty(0)
-        q = cols[:, inactive].T @ fit_b if inactive else np.empty(0)
+    hit_signs = np.array([[1.0], [-1.0]])  # one row of hit roots per sign
+    for _ in range(40 * size + 100):
+        cols_a = cols[:, active]
+        p = cols.T @ (r - cols_a @ a_vec)
+        q = cols.T @ (cols_a @ b_vec)
+        sp, sq = hit_signs * p, hit_signs * q
+        upper = lam * (1.0 + 1e-12)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hits = sp / (1.0 - sq)
+            drops = a_vec / b_vec
+        hits = np.where((sq < 1.0) & ~active & (hits > 0.0) & (hits <= upper), hits, 0.0)
+        drops = np.where(
+            (signs[active] * b_vec < 0.0) & (drops > 0.0) & (drops <= upper), drops, 0.0
+        )
+        row, j = np.unravel_index(np.argmax(hits), hits.shape)
+        drop = int(np.argmax(drops))
+        t = min(max(hits[row, j], drops[drop]), lam)
 
-        # ties at the current penalty are legitimate (simultaneous events),
-        # but the event just processed leaves an exact echo: the coordinate
-        # added at lam has its zero crossing at lam, and the coordinate
-        # dropped at lam has its correlation on the boundary there.  Only
-        # that echo is excluded; everything else in the shell is fair game.
-        if np.isfinite(lam):
-            upper = lam * (1.0 + 1e-12)
-            echo = lam * (1.0 - 1e-9)
+        gamma = np.zeros(size)
+        gamma[active] = a_vec - t * b_vec
+        knot_lams.append(t)
+        knot_gammas.append(gamma)
+        if t == 0.0:
+            break  # no event left: the last segment runs down to no penalty
+        lam = t
+        if drops[drop] > hits[row, j]:
+            j = np.flatnonzero(active)[drop]
+            active[j], signs[j] = False, 0.0
         else:
-            upper = np.inf
-            echo = np.inf
-        best = 0.0
-        best_event: tuple[str, int, float] | None = None
-        for idx, j in enumerate(inactive):
-            for cand, sign in ((p[idx] / (1.0 - q[idx]) if q[idx] != 1.0 else -1.0, 1.0),
-                               (-p[idx] / (1.0 + q[idx]) if q[idx] != -1.0 else -1.0, -1.0)):
-                if last_event == ("drop", j) and cand > echo:
-                    continue
-                if best < cand <= upper:
-                    best = cand
-                    best_event = ("hit", j, sign)
-        for pos, j in enumerate(active):
-            if j == 0 or b_vec[pos] == 0.0:
-                continue
-            cand = a_vec[pos] / b_vec[pos]
-            if last_event == ("hit", j) and cand > echo:
-                continue
-            if best < cand <= upper:
-                best = cand
-                best_event = ("drop", j, 0.0)
-        if best_event is not None and np.isfinite(lam):
-            best = min(best, lam)
-
-        if not np.isfinite(lam):
-            # path starts where the first increment activates
-            if best_event is None:
-                # fused fit is exact for all penalties
-                knot_lams.append(0.0)
-                knot_gammas.append(_gamma_at(active, a_vec, b_vec, 0.0, size))
-                break
-            lam = best
-            knot_lams.append(lam)
-            knot_gammas.append(_gamma_at(active, a_vec, b_vec, lam, size))
-        else:
-            knot_lams.append(lam)
-            knot_gammas.append(_gamma_at(active, a_vec, b_vec, lam, size))
-            if best_event is None:
-                knot_lams.append(0.0)
-                knot_gammas.append(_gamma_at(active, a_vec, b_vec, 0.0, size))
-                break
-            lam = best
-            knot_lams.append(lam)
-            knot_gammas.append(_gamma_at(active, a_vec, b_vec, lam, size))
-
-        kind, j, sign = best_event
-        last_event = (kind, j)
-        if kind == "hit":
-            active.append(j)
-            signs[j] = sign
-            inactive.remove(j)
-        else:
-            pos = active.index(j)
-            active.pop(pos)
-            del signs[j]
-            inactive.append(j)
+            active[j], signs[j] = True, hit_signs[row, 0]
         sol = solve_coefs()
         if sol is None:
             rank_deficient = True
@@ -305,23 +258,16 @@ def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath
             )
             break
         a_vec, b_vec = sol
+    else:
+        raise NumericalError("penalty homotopy failed to make progress")
 
     lams = np.array(knot_lams)
-    gammas = np.stack(knot_gammas)
-    # collapse duplicate consecutive knots (an event recorded from both sides)
+    # simultaneous events share one knot
     keep = np.r_[True, np.diff(lams) < 0]
-    lams, gammas = lams[keep], gammas[keep]
-    deltas = np.stack([_delta_from_gamma(g) for g in gammas])
-    path = SolutionPath(
-        lambdas=2.0 * lams / n, deltas=deltas, n_obs=n, rank_deficient=rank_deficient
+    deltas = np.cumsum(np.stack(knot_gammas)[keep], axis=1)
+    return SolutionPath(
+        lambdas=2.0 * lams[keep] / n, deltas=deltas, n_obs=n, rank_deficient=rank_deficient
     )
-    return path
-
-
-def _gamma_at(active, a_vec, b_vec, lam, size) -> np.ndarray:
-    gamma = np.zeros(size)
-    gamma[active] = a_vec - lam * b_vec
-    return gamma
 
 
 def path_delta_at(path: SolutionPath, lam: float) -> np.ndarray:

@@ -5,8 +5,8 @@ the coefficient function.  Each observed curve is projected onto a spline
 basis by least squares, and the integral collapses to a bilinear form in
 the two coefficient vectors through a cross-Gram matrix.  Subjects may be
 observed on different subintervals of the reference domain; the Gram
-matrix is then computed over the subject's own interval and cached, since
-many subjects typically share one.
+matrix is then computed over the subject's own interval, once for all the
+subjects that share it.
 
 Scalar covariates are expanded (identity, dummy coding, hinge terms, or a
 spline block that will receive its own adaptive prior), continuous
@@ -65,11 +65,6 @@ class CoefCurve:
     domain: Domain
 
 
-def fit_curve_coeffs(obs: CurveObservation, basis: BSplineBasis) -> CoefCurve:
-    """Project a single observed curve onto the basis by least squares."""
-    return fit_curves([obs], basis)[0]
-
-
 def fit_curves(observations: Sequence[CurveObservation], basis: BSplineBasis) -> list[CoefCurve]:
     """Least-squares spline coefficients for many curves.
 
@@ -96,56 +91,45 @@ def fit_curves(observations: Sequence[CurveObservation], basis: BSplineBasis) ->
     return out  # type: ignore[return-value]
 
 
-class GramCache:
-    """Memoizes cross-Gram matrices keyed by basis layout and subinterval."""
-
-    def __init__(self) -> None:
-        self._store: dict[tuple, np.ndarray] = {}
-
-    @staticmethod
-    def _basis_key(basis: BSplineBasis) -> tuple:
-        return (basis.size, basis.degree, basis.domain.lo, basis.domain.hi)
-
-    def get(self, row_basis: BSplineBasis, col_basis: BSplineBasis, sub: Domain) -> np.ndarray:
-        key = (
-            self._basis_key(row_basis),
-            self._basis_key(col_basis),
-            round(sub.lo, 12),
-            round(sub.hi, 12),
-        )
-        found = self._store.get(key)
-        if found is None:
-            found = cross_gram(row_basis, col_basis, sub)
-            self._store[key] = found
-        return found
-
-
-def functional_scores(
+def group_by_layout(
     curves: Sequence[CoefCurve],
-    basis_b: BSplineBasis,
-    cache: GramCache | None = None,
-) -> np.ndarray:
+) -> list[tuple[CoefCurve, np.ndarray, np.ndarray]]:
+    """Curves sharing one basis layout and one domain, in first-seen order.
+
+    Each group is its first curve, the members' indices, and their
+    coefficients as an (members, K) array.  The array is the transpose of
+    a (K, members) stack, so each row is a strided column: with it, one
+    batched product per group sums in the same order as a product per
+    curve, and the results are bitwise those of a loop over curves.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, curve in enumerate(curves):
+        b = curve.basis
+        key = (b.size, b.degree, b.domain.lo, b.domain.hi, curve.domain.lo, curve.domain.hi)
+        groups.setdefault(key, []).append(i)
+    return [
+        (curves[idx[0]], np.array(idx), np.stack([curves[i].coeffs for i in idx], axis=1).T)
+        for idx in groups.values()
+    ]
+
+
+def functional_scores(curves: Sequence[CoefCurve], basis_b: BSplineBasis) -> np.ndarray:
     """Rows of the reduced functional design: one score vector per subject.
 
     Row i dotted with the coefficient vector of the regression function
     equals the integral of ``X_i(t) * beta(t)`` over subject i's interval.
+    Each (basis layout, domain) group takes one cross-Gram and one
+    batched product.
     """
-    cache = cache or GramCache()
     rows = np.empty((len(curves), basis_b.size))
-    for i, curve in enumerate(curves):
-        if not basis_b.domain.contains(curve.domain):
+    for first, idx, coeffs in group_by_layout(curves):
+        if not basis_b.domain.contains(first.domain):
             raise ValueError(
-                f"subject {curve.subject_id} interval not inside the reference domain"
+                f"subject {first.subject_id} interval not inside the reference domain"
             )
-        gram = cache.get(curve.basis, basis_b, curve.domain)
-        rows[i] = curve.coeffs @ gram
+        gram = cross_gram(first.basis, basis_b, first.domain)
+        rows[idx] = np.matmul(coeffs[:, None, :], gram)[:, 0]
     return rows
-
-
-def cumulative_effect(curve: CoefCurve, beta_coeffs: np.ndarray, basis_b: BSplineBasis) -> float:
-    """Integral of the subject's curve against a coefficient function."""
-    gram = cross_gram(curve.basis, basis_b, curve.domain)
-    return float(curve.coeffs @ gram @ beta_coeffs)
 
 
 # --- scalar covariate expansion -------------------------------------------
@@ -295,7 +279,6 @@ def build_design(
     scalars: Mapping[str, Sequence] | None = None,
     rules: Sequence[ExpansionRule] | None = None,
     include_intercept: bool = True,
-    cache: GramCache | None = None,
 ) -> RegressionDesign:
     """Assemble the full regression design.
 
@@ -329,7 +312,7 @@ def build_design(
         names = names + ["(intercept)"]
         penalized = np.append(penalized, False)
 
-    scores = functional_scores(curves, basis_b, cache=cache)
+    scores = functional_scores(curves, basis_b)
     return RegressionDesign(
         y=y,
         scores=scores,
@@ -441,19 +424,3 @@ def read_scalars(path) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
             scalars[name] = np.array(column)
     return ids, np.array(y), scalars
 
-
-def align_by_subject(
-    curves: Sequence[CoefCurve | CurveObservation],
-    ids: Sequence[str],
-    y: np.ndarray,
-    scalars: Mapping[str, np.ndarray],
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Reorder scalar rows to match the curve order, by subject id."""
-    index = {sid: i for i, sid in enumerate(ids)}
-    if len(index) != len(ids):
-        raise ValueError("duplicate subject ids in scalar file")
-    try:
-        perm = np.array([index[c.subject_id] for c in curves])
-    except KeyError as err:
-        raise ValueError(f"subject {err.args[0]} has curves but no scalar row") from None
-    return y[perm], {name: vals[perm] for name, vals in scalars.items()}

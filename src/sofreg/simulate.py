@@ -67,16 +67,7 @@ class LocallyConstantTruth:
         return np.asarray(self.levels, dtype=float)[idx]
 
 
-@dataclass(frozen=True)
-class CustomTruth:
-    fn: Callable[[np.ndarray], np.ndarray]
-    kind: str = "custom"
-
-    def __call__(self, t):
-        return np.asarray(self.fn(np.asarray(t, dtype=float)), dtype=float)
-
-
-TruthSpec = SmoothTruth | LocallyConstantTruth | CustomTruth
+TruthSpec = SmoothTruth | LocallyConstantTruth
 
 
 # --- design ------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sofreg.basis import BSplineBasis, Domain, integrate_basis
+from sofreg.basis import BSplineBasis, Domain, cross_gram, integrate_basis
 from sofreg.decision import (
     AggregatedDesign,
     Partition,
@@ -39,8 +39,8 @@ from sofreg.funcdata import (
     CurveObservation,
     SplineTerm,
     build_design,
-    fit_curve_coeffs,
     fit_curves,
+    functional_scores,
 )
 from sofreg.gibbs import BlockDraws, FitConfig, PosteriorDraws, predictive_draws, subsample_indices
 
@@ -155,6 +155,18 @@ def random_problem(rng, n, k):
     return r, AggregatedDesign(matrix=a, partition=part)
 
 
+def aggregated_problem(seed, n, k, cells):
+    """Cell integrals of spline curves on a K-function basis: rank at most K."""
+    rng = np.random.default_rng([seed, n, k, cells])
+    domain = Domain(0.0, 1.0)
+    basis = BSplineBasis(domain, k, 3)
+    coeffs = rng.standard_normal((n, k)) + 0.5
+    curves = [CoefCurve(f"s{i}", c, basis, domain) for i, c in enumerate(coeffs)]
+    agg = aggregate(curves, Partition.regular(domain, cells))
+    step = np.repeat(rng.standard_normal(3), -(-cells // 3))[:cells]
+    return agg.matrix @ step + 0.3 * rng.standard_normal(n), agg
+
+
 # --- oracle cross-checks ------------------------------------------------------------
 
 
@@ -184,6 +196,17 @@ def test_tv_prox_closed_form_cases():
 # --- path correctness ----------------------------------------------------------------
 
 
+def _assert_path_stationary(path, r, agg):
+    assert np.all(np.diff(path.lambdas) < 0)
+    for lam, delta in zip(path.lambdas, path.deltas):
+        assert kkt_residual(delta, r, agg, lam) < 1e-8
+    # interpolated solutions between knots are also stationary
+    mids = 0.5 * (path.lambdas[:-1] + path.lambdas[1:])
+    for lam in mids[:: max(1, mids.size // 8)]:
+        delta = path_delta_at(path, float(lam))
+        assert kkt_residual(delta, r, agg, float(lam)) < 1e-8
+
+
 def test_path_knots_satisfy_kkt_on_random_designs():
     rng = np.random.default_rng(11)
     for trial in range(20):
@@ -192,14 +215,12 @@ def test_path_knots_satisfy_kkt_on_random_designs():
         r, agg = random_problem(rng, n, k)
         path = fused_lasso_path(r, agg)
         assert not path.rank_deficient
-        assert np.all(np.diff(path.lambdas) < 0)
-        for lam, delta in zip(path.lambdas, path.deltas):
-            assert kkt_residual(delta, r, agg, lam) < 1e-8
-        # interpolated solutions between knots are also stationary
-        mids = 0.5 * (path.lambdas[:-1] + path.lambdas[1:])
-        for lam in mids[:: max(1, mids.size // 8)]:
-            delta = path_delta_at(path, float(lam))
-            assert kkt_residual(delta, r, agg, float(lam)) < 1e-8
+        _assert_path_stationary(path, r, agg)
+    # aggregated curves with more cells than basis functions: rank(A) < cells
+    for seed, n, k, cells in ((0, 200, 18, 20), (51, 300, 20, 60)):
+        r, agg = aggregated_problem(seed, n, k, cells)
+        assert np.linalg.matrix_rank(agg.matrix) < cells
+        _assert_path_stationary(fused_lasso_path(r, agg), r, agg)
 
 
 def test_path_endpoint_matches_least_squares():
@@ -349,8 +370,11 @@ def test_aggregate_matches_per_cell_oracle_bitwise_on_fitted_curves():
     short = Domain(0.15, 0.8)
     curves[3:6] = [CoefCurve(c.subject_id, c.coeffs, basis, short) for c in curves[3:6]]
     assert curves[0].coeffs.strides != (8,)  # columns of one shared solve
-    single = [fit_curve_coeffs(obs[-1], basis)]
+    single = fit_curves([obs[-1]], basis)
     assert single[0].coeffs.flags.c_contiguous
+    for group in (curves, single):
+        rows = [c.coeffs @ cross_gram(c.basis, basis, c.domain) for c in group]
+        assert np.array_equal(functional_scores(group, basis), np.stack(rows))
     for part in (Partition.from_grid(grid), Partition.regular(basis.domain, 7)):
         for group in (curves, single):
             assert np.array_equal(aggregate(group, part).matrix, aggregate_oracle(group, part))

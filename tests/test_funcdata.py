@@ -9,14 +9,10 @@ from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix
 from sofreg.funcdata import (
     Categorical,
     CurveObservation,
-    GramCache,
     Linear,
     PiecewiseLinear,
     SplineTerm,
-    align_by_subject,
     build_design,
-    cumulative_effect,
-    fit_curve_coeffs,
     fit_curves,
     functional_scores,
     read_curves,
@@ -42,7 +38,7 @@ def test_fit_recovers_exact_spline_coefficients():
     coeffs = rng.normal(size=9)
     t = np.linspace(0, 1, 60)
     obs = CurveObservation("s1", t, spline_curve(basis, coeffs, t))
-    fit = fit_curve_coeffs(obs, basis)
+    fit = fit_curves([obs], basis)[0]
     assert np.max(np.abs(fit.coeffs - coeffs)) < 1e-8
 
 
@@ -57,7 +53,7 @@ def test_grouped_fit_matches_individual_fits():
         CurveObservation("c", shared_t, rng.normal(size=40)),
     ]
     batch = fit_curves(obs, basis)
-    solo = [fit_curve_coeffs(o, basis) for o in obs]
+    solo = [fit_curves([o], basis)[0] for o in obs]
     for got, want in zip(batch, solo):
         assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-10
 
@@ -66,7 +62,7 @@ def test_fit_rank_deficient_grid_raises():
     basis = BSplineBasis(Domain(0.0, 1.0), 8, 3)
     t = np.linspace(0, 1, 5)
     with pytest.raises(ValueError, match="identify"):
-        fit_curve_coeffs(CurveObservation("s", t, np.sin(t)), basis)
+        fit_curves([CurveObservation("s", t, np.sin(t))], basis)
 
 
 def test_scores_reproduce_integral_for_representable_curves():
@@ -97,25 +93,13 @@ def test_subject_subinterval_integrates_only_over_it():
     t = np.linspace(0.2, 0.7, 60)  # subject observed on [0.2, 0.7] only
     sub_basis = BSplineBasis(Domain(0.2, 0.7), 7, 3)
     cx = rng.normal(size=7)
-    curve = fit_curve_coeffs(CurveObservation("s", t, spline_curve(sub_basis, cx, t)), sub_basis)
+    curve = fit_curves([CurveObservation("s", t, spline_curve(sub_basis, cx, t))], sub_basis)[0]
     beta = rng.normal(size=9)
-    got = cumulative_effect(curve, beta, basis_b)
     want = midpoint_integral(
         lambda s: spline_curve(sub_basis, cx, s) * spline_curve(basis_b, beta, s), 0.2, 0.7
     )
-    assert abs(got - want) < 1e-8
     row = functional_scores([curve], basis_b)[0]
     assert abs(row @ beta - want) < 1e-8
-
-
-def test_gram_cache_reuses_shared_layout():
-    cache = GramCache()
-    dom = Domain(0.0, 1.0)
-    basis_x = BSplineBasis(dom, 6, 3)
-    basis_b = BSplineBasis(dom, 6, 3)
-    first = cache.get(basis_x, basis_b, Domain(0.0, 0.5))
-    again = cache.get(BSplineBasis(dom, 6, 3), basis_b, Domain(0.0, 0.5))
-    assert first is again
 
 
 def _toy_design(n=20, seed=0, **kwargs):
@@ -208,7 +192,7 @@ def test_curve_file_round_trip(tmp_path):
         assert rt.domain == orig.domain
 
 
-def test_scalar_file_round_trip_and_alignment(tmp_path):
+def test_scalar_file_round_trip(tmp_path):
     path = tmp_path / "scalars.csv"
     ids = ["s2", "s1", "s3"]
     y = np.array([1.5, -0.25, 3.0])
@@ -219,17 +203,6 @@ def test_scalar_file_round_trip_and_alignment(tmp_path):
     assert np.array_equal(ry, y)
     assert np.array_equal(rsc["age"], scalars["age"])
     assert rsc["group"].tolist() == ["m", "f", "f"]
-
-    class Stub:
-        def __init__(self, sid):
-            self.subject_id = sid
-
-    curve_order = [Stub("s1"), Stub("s2"), Stub("s3")]
-    ay, asc = align_by_subject(curve_order, rids, ry, rsc)
-    assert np.array_equal(ay, [-0.25, 1.5, 3.0])
-    assert asc["group"].tolist() == ["f", "m", "f"]
-    with pytest.raises(ValueError, match="no scalar row"):
-        align_by_subject([Stub("nope")], rids, ry, rsc)
 
 
 def test_read_curves_rejects_bad_header(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from sofreg.basis import BSplineBasis, Domain
 from sofreg.simulate import (
-    CustomTruth,
     EvalMetrics,
     GpSettings,
     LocallyConstantTruth,
@@ -134,7 +133,7 @@ def test_gen_responses_rejects_degenerate_signal():
         gen_responses(np.zeros(50), snr=2.0, rng=rng)
     design = small_design(n=6)
     curves = gen_curves(design, rng)
-    zero = CustomTruth(lambda t: np.zeros_like(t))
+    zero = LocallyConstantTruth(levels=(0.0, 0.0, 0.0))
     signals = functional_signals(curves, zero, route="trapezoid")
     with pytest.raises(ValueError, match="degenerate signal"):
         gen_responses(signals, snr=2.0, rng=rng)
