@@ -51,7 +51,6 @@ from sofreg.gibbs import (
     PosteriorDraws,
     fit,
     load_draws,
-    predictive_draws,
     save_draws,
     summarize_coefficient,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "kkt_residual",
     "load_draws",
     "path_delta_at",
-    "predictive_draws",
     "read_curves",
     "read_scalars",
     "replicate_data",

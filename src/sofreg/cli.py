@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -393,7 +394,19 @@ def cmd_summarize(resolved: dict) -> int:
             for lam, delta in zip(diag.lambdas, diag.deltas)
         ]
     )
-    _warn_on_inexact_path(summary.aggregated.matrix, kkt)
+    rank = _warn_on_inexact_path(summary.aggregated.matrix, kkt)
+    report = {
+        "config_hash": cfg_hash,
+        "cells": partition.size,
+        "rank_aggregated": rank,
+        "rank_span": diag.span_rank,
+        "complement_dof": design.n - diag.span_rank,
+        "knots": summary.path.lambdas.size,
+        "entries": diag.lambdas.size,
+        "max_kkt_residual": float(kkt.max()),
+        "family_size": int(family.members.sum()),
+    }
+    (out_dir / "path_report.json").write_text(json.dumps(report, indent=2) + "\n")
     need = max(1, int(np.ceil(family.epsilon * diag.percent_increase.shape[1])))
     path_rows = []
     for i in range(diag.lambdas.size):
@@ -445,8 +458,11 @@ def cmd_summarize(resolved: dict) -> int:
     return EXIT_OK
 
 
-def _warn_on_inexact_path(matrix: np.ndarray, kkt: np.ndarray) -> None:
-    """Name a rank-deficient aggregated design whose path entries are not stationary."""
+def _warn_on_inexact_path(matrix: np.ndarray, kkt: np.ndarray) -> int:
+    """Name a rank-deficient aggregated design whose path entries are not stationary.
+
+    Returns the rank of the aggregated design.
+    """
     rank = int(np.linalg.matrix_rank(matrix))  # by SVD
     worst = float(kkt.max())
     if rank < matrix.shape[1] and worst > KKT_TOL:
@@ -455,6 +471,7 @@ def _warn_on_inexact_path(matrix: np.ndarray, kkt: np.ndarray) -> None:
             "path stationarity residual is %.3g (tolerance %g): the path is not exact",
             rank, matrix.shape[1], worst, KKT_TOL,
         )
+    return rank
 
 
 def _selection_from_windows(grid: np.ndarray, rows: list[list[str]]) -> np.ndarray:

@@ -23,8 +23,6 @@ from sofreg.gibbs import (
     NumericalError,
     PosteriorDraws,
     block_fit_draws,
-    draw_chunks,
-    predictive_draws,
     subsample_indices,
 )
 
@@ -346,10 +344,33 @@ class PathDiagnostics:
     empirical: np.ndarray  # E_lam on the observed response
     percent_increase: np.ndarray  # (grid, draws) predictive percent loss vs the optimum
     idx_lambda_min: int
+    span_rank: int  # rank of [A | X], the span the replicates are priced in
 
     @property
     def lambda_min(self) -> float:
         return float(self.lambdas[self.idx_lambda_min])
+
+
+def _span_basis(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis Q of the span of ``[a | x]`` (thin SVD, ``matrix_rank``'s
+    tolerance) and the coordinates ``Q' [a | x]``."""
+    u, s, vt = np.linalg.svd(np.column_stack([a, x]), full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps))
+    return u[:, :rank], s[:rank, None] * vt[:rank]
+
+
+def _percent_increase(gaps, centers, sd, noise, rest, n: int) -> np.ndarray:
+    """Percent loss increase of every entry over the optimum at every replicate.
+
+    Span coordinates of each entry's fit less the optimum's (``gaps``), of
+    each draw's mean residual at the optimum (``centers``) and of each
+    replicate's standard normal noise (``noise``); ``rest`` is the squared
+    norm of that noise off the span.
+    """
+    resid = centers + sd[:, None] * noise
+    excess = (np.einsum("ij,ij->i", gaps, gaps)[:, None] - 2.0 * (gaps @ resid.T)) / n
+    ref = (np.einsum("ij,ij->i", resid, resid) + sd**2 * rest) / n
+    return 100.0 * excess / ref[None, :]
 
 
 def evaluate_path(
@@ -361,54 +382,54 @@ def evaluate_path(
     rng: np.random.Generator,
     pred_draws: int | None = 1000,
     max_entries: int = 100,
-    block_fits: np.ndarray | None = None,
+    block_fit: np.ndarray | None = None,
 ) -> PathDiagnostics:
     """Price every (subsampled) knot by observed and predictive squared loss.
 
-    The predictive losses reuse one common set of posterior predictive
-    replicates across knots, so percent differences are comparable
-    draw by draw.  ``block_fits`` is the adaptive-block fit at every draw
-    (``block_fit_draws``); it is computed here when not given.
+    Entry i's empirical loss is ``||adj - A delta_i||^2 / n``, with ``adj``
+    the response less the mean scalar fit and the mean adaptive-block fit
+    ``block_fit`` (from the mean block coefficients when not given); the
+    smallest is the optimum b.  One common set of predictive replicates
+    prices every entry, so percent differences compare draw by draw.
 
-    All entries are fitted by one product ``F = A @ deltas.T`` (n x
-    entries).  Each draw's loss is then priced against the empirical
-    optimum ``b``: with ``r0`` the draw's residual at ``b`` and
-    ``G = F - F[:, b]``, entry i's loss exceeds the optimum's by
-    ``(||G_i||^2 - 2 r0 . G_i) / n``.  That is the difference of the two
-    losses itself, not a difference of two nearly equal sums of squares,
-    so it keeps its accuracy when the losses are close; and the optimum's
-    row is exactly zero, because its column of ``G`` is.
+    Replicate s less its own scalar and block fits leaves the residual
+    ``r0_s = X theta_s - A delta_b + sigma_s eps_s`` at the optimum (X the
+    curve scores).  With Q an orthonormal basis of the span of ``[A | X]``
+    and ``g_i = Q'A (delta_i - delta_b)``, entry i's loss exceeds the
+    optimum's by ``(||g_i||^2 - 2 g_i . Q'r0_s) / n``, and the optimum's
+    loss is ``(||Q'r0_s||^2 + c_s) / n``.  Here ``Q'r0_s = Q'X theta_s -
+    Q'A delta_b + sigma_s u_s`` with ``u_s ~ N(0, I_rank)``, and the part
+    off the span is independent noise with ``c_s ~ sigma_s^2
+    chi^2_{n - rank}``.  So the replicates are equal in law to the ones
+    drawn in n dimensions, not bitwise equal.  Q costs one thin SVD,
+    O(n (cells + K)^2); no per-draw work grows with n.  The optimum's row
+    is exactly zero, because its gap is.
     """
     keep = subsample_indices(path.lambdas.size, max_entries)
     lams = path.lambdas[keep]
     deltas = path.deltas[keep]
     n = y.size
 
-    if block_fits is None:
-        block_fits = block_fit_draws(draws, design, np.arange(draws.n_draws))
-    idx = subsample_indices(draws.n_draws, pred_draws)
-    # replicates less each draw's scalar and block fit, adjusted in place a
-    # chunk of draws at a time, so that no second draws x n array forms
-    adj_pred = predictive_draws(draws, design, rng, size=pred_draws, block_fits=block_fits)
-    for rows in draw_chunks(idx.size):
-        part = adj_pred[rows]
-        part -= draws.alpha[idx[rows]] @ design.z.T
-        if block_fits is not None:
-            part -= block_fits[idx[rows]]
-    adj = y - design.z @ draws.alpha.mean(axis=0)
-    if block_fits is not None:
-        adj = adj - block_fits.mean(axis=0)
-
-    fits = agg.matrix @ deltas.T
-    resid = adj[:, None] - fits
+    if block_fit is None:
+        block_fit = sum(
+            dblk.design @ blk.coeffs.mean(axis=0)
+            for blk in draws.blocks for dblk in design.adaptive_blocks if dblk.name == blk.name
+        )
+    adj = y - design.z @ draws.alpha.mean(axis=0) - block_fit
+    resid = adj[:, None] - agg.matrix @ deltas.T
     emp = np.einsum("ij,ij->j", resid, resid) / n
+    del resid  # n x entries: freed before the SVD
     best = int(np.argmin(emp))
 
-    adj_pred -= fits[:, best]  # each replicate's residual at the optimum
-    gap = fits - fits[:, best, None]
-    excess = (np.einsum("ij,ij->j", gap, gap)[:, None] - 2.0 * (gap.T @ adj_pred.T)) / n
-    ref = np.einsum("ij,ij->i", adj_pred, adj_pred) / n
-    percent = 100.0 * excess / ref[None, :]
+    coords = _span_basis(agg.matrix, design.scores)[1]
+    rank, cells = coords.shape[0], agg.matrix.shape[1]
+    idx = subsample_indices(draws.n_draws, pred_draws)
+    noise = rng.standard_normal((idx.size, rank))
+    rest = rng.chisquare(n - rank, idx.size) if n > rank else np.zeros(idx.size)
+    span_a = coords[:, :cells]
+    gaps = (deltas - deltas[best]) @ span_a.T
+    centers = draws.coeffs[idx] @ coords[:, cells:].T - span_a @ deltas[best]
+    percent = _percent_increase(gaps, centers, np.sqrt(draws.sigma2[idx]), noise, rest, n)
     levels = np.array([count_level_changes(d) for d in deltas])
     return PathDiagnostics(
         lambdas=lams,
@@ -417,6 +438,7 @@ def evaluate_path(
         empirical=emp,
         percent_increase=percent,
         idx_lambda_min=best,
+        span_rank=rank,
     )
 
 
@@ -617,11 +639,11 @@ def analyze(
     alpha_hat = draws.alpha.mean(axis=0)
     targets = draws.y_hat - design.z @ alpha_hat
     blocks = block_fit_draws(draws, design, np.arange(draws.n_draws))
-    if blocks is not None:
-        targets = targets - blocks.mean(axis=0)
+    block_fit = None if blocks is None else blocks.mean(axis=0)
+    targets = targets if block_fit is None else targets - block_fit
     path = fused_lasso_path(targets, agg)
     diag = evaluate_path(
-        path, y, draws, design, agg, rng, pred_draws=pred_draws, block_fits=blocks
+        path, y, draws, design, agg, rng, pred_draws=pred_draws, block_fit=block_fit
     )
     family = acceptable_family(diag, epsilon)
     pick = family.idx_simplest

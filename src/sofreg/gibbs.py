@@ -15,7 +15,7 @@ number of basis coefficients.
 
 Besides ``fit``, this module provides the prior and successive-conditional
 simulators used to validate the sampler against itself, posterior curve
-summaries, model-free predictive draws, and a flat-file draw archive.
+summaries, the adaptive-block fits, and a flat-file draw archive.
 """
 
 from __future__ import annotations
@@ -575,22 +575,6 @@ def subsample_indices(n_draws: int, size: int | None) -> np.ndarray:
     return np.unique(np.linspace(0, n_draws - 1, size).round().astype(int))
 
 
-_DRAW_CHUNK = 64  # draws per row block of the predictive stage
-
-
-def draw_chunks(count: int) -> list[slice]:
-    """Row blocks of ``count`` draws, for work on draws x n arrays.
-
-    A one-row remainder joins the block before it: numpy sends a one-row
-    product to gemv, whose sums differ in the last bit from gemm's, so
-    only blocks of two or more rows reproduce the full product exactly.
-    """
-    starts = list(range(0, count, _DRAW_CHUNK))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
-
-
 def block_fit_draws(
     draws: PosteriorDraws, design: RegressionDesign, idx: np.ndarray
 ) -> np.ndarray | None:
@@ -602,38 +586,6 @@ def block_fit_draws(
                 term = blk.coeffs[idx] @ dblk.design.T
                 parts = term if parts is None else parts + term
     return parts
-
-
-def predictive_draws(
-    draws: PosteriorDraws,
-    design: RegressionDesign,
-    rng: np.random.Generator,
-    size: int | None = 1000,
-    block_fits: np.ndarray | None = None,
-) -> np.ndarray:
-    """Posterior predictive replicates of the response, one row per draw.
-
-    ``block_fits``, the adaptive-block fit at every draw as returned by
-    ``block_fit_draws``, is reused when given instead of being recomputed.
-    """
-    idx = subsample_indices(draws.n_draws, size)
-    sd = np.sqrt(draws.sigma2[idx])
-    # draws x n is the largest array of the decision stage: the output is
-    # the only one, and every other term is added in chunks of draws
-    out = draws.coeffs[idx] @ design.scores.T
-    for rows in draw_chunks(idx.size):
-        part = out[rows]
-        part += draws.alpha[idx[rows]] @ design.z.T
-        if block_fits is None:
-            blocks = block_fit_draws(draws, design, idx[rows])
-        else:
-            blocks = block_fits[idx[rows]]
-        if blocks is not None:
-            part += blocks
-        noise = rng.standard_normal(part.shape)  # sequential fill: the same stream
-        noise *= sd[rows, None]
-        part += noise
-    return out
 
 
 # --- flat-file draw archive ----------------------------------------------------

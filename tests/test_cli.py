@@ -6,6 +6,7 @@ the full simulate -> fit -> summarize -> evaluate chain on a tiny
 problem, and replicate-study resume and worker-pool behavior.
 """
 
+import json
 import logging
 
 import yaml
@@ -280,6 +281,22 @@ def test_summary_tables_are_stamped_and_shaped(pipeline_dirs):
     snapshot = yaml.safe_load((summ / "summarize_config.yaml").read_text())
     assert snapshot["epsilon"] == 0.10
     assert snapshot["zero_tol"] == 0.0
+
+
+def test_summarize_writes_path_report(pipeline_dirs):
+    _, _, _, summ = pipeline_dirs
+    report = json.loads((summ / "path_report.json").read_text())
+    stamp = (summ / "path_table.csv").read_text().split("\n")[0]
+    assert stamp == f"# config_hash={report['config_hash']}"
+    header, rows = read_table(summ / "path_table.csv")
+    assert report["cells"] == 10
+    # 14 subjects on an 8-function curve basis: A and the scores share its span
+    assert report["rank_aggregated"] <= report["rank_span"] <= 8
+    assert report["complement_dof"] == 14 - report["rank_span"]
+    assert report["entries"] == len(rows) <= report["knots"]
+    assert report["family_size"] == sum(int(r[header.index("acceptable")]) for r in rows)
+    kkt = [float(r[header.index("kkt_residual")]) for r in rows]
+    assert report["max_kkt_residual"] == max(kkt)
 
 
 def test_summarize_rejects_mismatched_scalars(pipeline_dirs, tmp_path, capsys):

