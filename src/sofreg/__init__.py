@@ -36,7 +36,9 @@ from sofreg.decision import (
 from sofreg.dhs import DhsConfig
 from sofreg.funcdata import (
     CoefCurve,
+    CoefSet,
     CurveObservation,
+    CurveSet,
     RegressionDesign,
     build_design,
     fit_curves,
@@ -68,7 +70,9 @@ __all__ = [
     "AcceptableFamily",
     "BSplineBasis",
     "CoefCurve",
+    "CoefSet",
     "CurveObservation",
+    "CurveSet",
     "DecisionSummary",
     "DhsConfig",
     "Domain",

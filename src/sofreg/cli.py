@@ -16,11 +16,14 @@ errors, I/O failures, and numerical failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
 import logging
+import resource
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
@@ -280,21 +283,36 @@ def _load_dataset(resolved: dict):
     y = None
     if scalars_path is not None:
         ids, y, columns = read_scalars(_require_file(resolved, "scalars"))
-        if ids != [c.subject_id for c in curves]:
+        if ids != curves.ids:
             raise ConfigError("scalar file subjects do not match the curve file")
         covariates = columns or None
     return curves, y, covariates
 
 
 def _assemble(curves, y, covariates, curve_size: int, coef_size: int, degree: int):
-    lo = min(c.domain.lo for c in curves)
-    hi = max(c.domain.hi for c in curves)
+    lo = min(g.domain.lo for g in curves.groups)
+    hi = max(g.domain.hi for g in curves.groups)
     domain = Domain(lo, hi)
     curve_basis = BSplineBasis(domain, curve_size, degree)
     coef_basis = BSplineBasis(domain, coef_size, degree)
     coef_curves = fit_curves(curves, curve_basis)
     design = build_design(coef_curves, coef_basis, y, scalars=covariates)
     return coef_curves, design
+
+
+@contextlib.contextmanager
+def _stage(seconds: dict, name: str):
+    """Record the wall seconds of one stage of a command under ``name``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[name] = time.perf_counter() - t0
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # --- commands --------------------------------------------------------------------------
@@ -309,7 +327,7 @@ def cmd_simulate(resolved: dict) -> int:
         curves, y, sigma = replicate_data(design, rep)
         write_curves(out_dir / f"curves_rep{rep:03d}.csv", curves)
         write_scalars(
-            out_dir / f"scalars_rep{rep:03d}.csv", [c.subject_id for c in curves], y
+            out_dir / f"scalars_rep{rep:03d}.csv", curves.ids, y
         )
         meta_rows.append([rep, repr(sigma), design.n, design.grid.size])
     _write_table(
@@ -322,42 +340,61 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_fit(resolved: dict) -> int:
-    curves, y, covariates = _load_dataset(resolved)
+    seconds: dict[str, float] = {}
+    with _stage(seconds, "read"):
+        curves, y, covariates = _load_dataset(resolved)
     if y is None:
         raise ConfigError("fit needs a scalar file with the response column")
     cfg_hash = _snapshot(resolved, "fit")
+    out_dir = Path(resolved["out_dir"])
     basis_cfg = resolved["basis"]
-    _, design = _assemble(
-        curves, y, covariates, basis_cfg["curve_size"], basis_cfg["coef_size"], basis_cfg["degree"]
-    )
+    with _stage(seconds, "project"):
+        _, design = _assemble(
+            curves, y, covariates, basis_cfg["curve_size"], basis_cfg["coef_size"], basis_cfg["degree"]
+        )
     sampler = dict(resolved["sampler"])
     refresh = sampler.pop("refresh")
     config = FitConfig(**sampler, dhs=DhsConfig(refresh=refresh))
-    draws = fit(design, config, seed=resolved["seed"])
-    archive_hash = save_draws(draws, Path(resolved["out_dir"]) / "archive")
+    with _stage(seconds, "sample"):
+        draws = fit(design, config, seed=resolved["seed"])
+    with _stage(seconds, "save"):
+        archive_hash = save_draws(draws, out_dir / "archive")
+    report = {
+        "config_hash": cfg_hash,
+        "subjects": len(curves),
+        "grids": len(curves.groups),
+        "seconds": seconds,
+        "peak_rss_mb": _peak_rss_mb(),
+    }
+    (out_dir / "fit_report.json").write_text(json.dumps(report, indent=2) + "\n")
     print(f"archive written (config {cfg_hash}, draws {archive_hash})")
     return EXIT_OK
 
 
 def cmd_summarize(resolved: dict) -> int:
     archive = _require_file(resolved, "archive")
-    curves, y, covariates = _load_dataset(resolved)
+    seconds: dict[str, float] = {}
+    with _stage(seconds, "read"):
+        curves, y, covariates = _load_dataset(resolved)
     if y is None:
         raise ConfigError("summarize needs the scalar file used for the fit")
     cfg_hash = _snapshot(resolved, "summarize")
     out_dir = Path(resolved["out_dir"])
-    draws = load_draws(archive)
+    with _stage(seconds, "load"):
+        draws = load_draws(archive)
     basis_cfg = resolved["basis"]
-    coef_curves, design = _assemble(
-        curves, y, covariates, basis_cfg["curve_size"], draws.basis.size, basis_cfg["degree"]
-    )
+    with _stage(seconds, "project"):
+        coef_curves, design = _assemble(
+            curves, y, covariates, basis_cfg["curve_size"], draws.basis.size, basis_cfg["degree"]
+        )
     if design.z_names != draws.alpha_names:
         raise ConfigError("scalar columns do not match the archived fit")
 
     grid = np.linspace(
         draws.basis.domain.lo, draws.basis.domain.hi, resolved["grid_points"]
     )
-    beta = summarize_coefficient(draws, grid=grid)
+    with _stage(seconds, "summarize_coefficient"):
+        beta = summarize_coefficient(draws, grid=grid)
     _write_table(
         out_dir / "beta_summary.csv",
         ["t", "mean", "lower50", "upper50", "lower95", "upper95"],
@@ -372,21 +409,22 @@ def cmd_summarize(resolved: dict) -> int:
 
     cells = resolved["partition_cells"]
     if cells is None:
-        breaks = np.unique(np.concatenate([c.t for c in curves]))
+        breaks = np.unique(np.concatenate([g.t for g in curves.groups]))
         partition = Partition.from_grid(breaks)
     else:
         partition = Partition.regular(draws.basis.domain, int(cells))
-    summary = analyze(
-        draws,
-        design,
-        coef_curves,
-        partition,
-        np.asarray(y, dtype=float),
-        np.random.default_rng(resolved["seed"]),
-        epsilon=resolved["epsilon"],
-        zero_tol=resolved["zero_tol"],
-        pred_draws=resolved["pred_draws"],
-    )
+    with _stage(seconds, "analyze"):
+        summary = analyze(
+            draws,
+            design,
+            coef_curves,
+            partition,
+            np.asarray(y, dtype=float),
+            np.random.default_rng(resolved["seed"]),
+            epsilon=resolved["epsilon"],
+            zero_tol=resolved["zero_tol"],
+            pred_draws=resolved["pred_draws"],
+        )
     diag, family = summary.diagnostics, summary.family
     kkt = np.array(
         [
@@ -405,6 +443,8 @@ def cmd_summarize(resolved: dict) -> int:
         "entries": diag.lambdas.size,
         "max_kkt_residual": float(kkt.max()),
         "family_size": int(family.members.sum()),
+        "seconds": seconds,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     (out_dir / "path_report.json").write_text(json.dumps(report, indent=2) + "\n")
     need = max(1, int(np.ceil(family.epsilon * diag.percent_increase.shape[1])))

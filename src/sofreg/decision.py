@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sofreg.basis import Domain, integrate_basis
-from sofreg.funcdata import CoefCurve, RegressionDesign, group_by_layout
+from sofreg.funcdata import CoefCurve, CoefSet, RegressionDesign
 from sofreg.gibbs import (
     NumericalError,
     PosteriorDraws,
@@ -88,7 +88,7 @@ class AggregatedDesign:
     partition: Partition
 
 
-def aggregate(curves: list[CoefCurve], partition: Partition) -> AggregatedDesign:
+def aggregate(curves: CoefSet | list[CoefCurve], partition: Partition) -> AggregatedDesign:
     """Integrate each subject's curve over each cell of the partition.
 
     Entries over cells disjoint from a subject's interval are zero, so row
@@ -101,27 +101,28 @@ def aggregate(curves: list[CoefCurve], partition: Partition) -> AggregatedDesign
     product would sum in another order, and the path's knots on a
     rank-deficient design move with the last bits of the matrix.
     """
+    curves = CoefSet.of(curves)
     span = partition.span
     cells = partition.cells()
     memo: dict[tuple, np.ndarray] = {}  # cell integrals by rounded intersection
     rows = np.zeros((len(curves), partition.size))
-    for first, idx, coeffs in group_by_layout(curves):
-        if not span.contains(first.domain):
+    for g in curves.groups:
+        if not span.contains(g.domain):
             raise ValueError(
-                f"subject {first.subject_id} interval not inside the partition span"
+                f"subject {curves.ids[g.rows[0]]} interval not inside the partition span"
             )
-        basis = first.basis
+        basis = g.basis
         bkey = (basis.size, basis.degree, basis.domain.lo, basis.domain.hi)
         weights = np.zeros((partition.size, basis.size))
         for k, cell in enumerate(cells):
-            inter = cell.intersect(first.domain)
+            inter = cell.intersect(g.domain)
             if inter is None:
                 continue
             key = (bkey, round(inter.lo, 12), round(inter.hi, 12))
             if key not in memo:
                 memo[key] = integrate_basis(basis, inter)
             weights[k] = memo[key]
-        rows[idx] = np.vecdot(coeffs[:, None, :], weights)
+        rows[g.rows] = np.vecdot(g.coeffs[:, None, :], weights)
     return AggregatedDesign(matrix=rows, partition=partition)
 
 
@@ -621,7 +622,7 @@ class DecisionSummary:
 def analyze(
     draws: PosteriorDraws,
     design: RegressionDesign,
-    curves: list[CoefCurve],
+    curves: CoefSet | list[CoefCurve],
     partition: Partition,
     y: np.ndarray,
     rng: np.random.Generator,

@@ -8,6 +8,13 @@ observed on different subintervals of the reference domain; the Gram
 matrix is then computed over the subject's own interval, once for all the
 subjects that share it.
 
+Curves travel through the pipeline as two columnar sets: a ``CurveSet``
+holds one value matrix per shared sampling grid and a ``CoefSet`` one
+coefficient matrix per (basis layout, domain).  Both are sequences of the
+per-subject records ``CurveObservation`` and ``CoefCurve``, and every
+function that takes a set also takes a plain list of records, converted
+once on entry.
+
 Scalar covariates are expanded (identity, dummy coding, hinge terms, or a
 spline block that will receive its own adaptive prior), continuous
 expanded columns are standardized, and everything is packed into a
@@ -17,7 +24,10 @@ expanded columns are standardized, and everything is packed into a
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import warnings
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -38,21 +48,14 @@ class CurveObservation:
     subject_id: str
     t: np.ndarray
     x: np.ndarray
-    domain: Domain | None = None
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
         self.x = np.asarray(self.x, dtype=float)
-        if self.t.ndim != 1 or self.t.shape != self.x.shape:
-            raise ValueError(f"curve {self.subject_id}: t and x must be equal-length vectors")
-        if self.t.size < 2:
-            raise ValueError(f"curve {self.subject_id}: need at least two observations")
-        if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.x))):
-            raise ValueError(f"curve {self.subject_id}: non-finite values")
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError(f"curve {self.subject_id}: t must be strictly increasing")
-        if self.domain is None:
-            self.domain = Domain(float(self.t[0]), float(self.t[-1]))
+
+    @property
+    def domain(self) -> Domain:
+        return Domain(float(self.t[0]), float(self.t[-1]))
 
 
 @dataclass
@@ -65,55 +68,194 @@ class CoefCurve:
     domain: Domain
 
 
-def fit_curves(observations: Sequence[CurveObservation], basis: BSplineBasis) -> list[CoefCurve]:
+@dataclass(frozen=True)
+class CurveGroup:
+    """Subjects sampled on one shared grid."""
+
+    rows: np.ndarray  # the members' positions in their set, increasing
+    t: np.ndarray  # (L,)
+    x: np.ndarray  # (members, L)
+
+    @property
+    def domain(self) -> Domain:
+        return Domain(float(self.t[0]), float(self.t[-1]))
+
+
+@dataclass(frozen=True)
+class CoefGroup:
+    """Subjects whose curves share one basis layout and one domain."""
+
+    rows: np.ndarray  # the members' positions in their set, increasing
+    coeffs: np.ndarray  # (members, K)
+    basis: BSplineBasis
+    domain: Domain
+
+
+class _GroupedSet(SequenceABC):
+    """Subjects in a fixed order, stored as groups that share a layout.
+
+    Indexing and iteration yield one record per subject, whose arrays
+    are views into its group's matrix; a slice gives a list of records.
+    """
+
+    def __init__(self, ids: Sequence[str], groups: Sequence) -> None:
+        self.ids = list(ids)
+        self.groups = list(groups)
+        n = len(self.ids)
+        self._group = np.full(n, -1, dtype=np.intp)
+        self._pos = np.zeros(n, dtype=np.intp)
+        for k, g in enumerate(self.groups):
+            self._group[g.rows] = k
+            self._pos[g.rows] = np.arange(g.rows.size)
+        if sum(g.rows.size for g in self.groups) != n or np.any(self._group < 0):
+            raise ValueError("groups must hold each subject exactly once")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return self._record(self.ids[i], self.groups[self._group[i]], self._pos[i])
+
+
+class CurveSet(_GroupedSet):
+    """Observed curves, grouped by shared sampling grid."""
+
+    groups: list[CurveGroup]
+
+    @staticmethod
+    def _record(sid: str, g: CurveGroup, j: int) -> CurveObservation:
+        return CurveObservation(sid, g.t, g.x[j])
+
+    @classmethod
+    def of(cls, curves: CurveSet | Sequence[CurveObservation]) -> CurveSet:
+        """The set itself, or a list of records validated and grouped."""
+        if isinstance(curves, cls):
+            return curves
+        curves = list(curves)
+        for c in curves:
+            if c.t.ndim != 1 or c.t.shape != c.x.shape:
+                raise ValueError(f"curve {c.subject_id}: t and x must be equal-length vectors")
+        if not curves:
+            return cls([], [])
+        return cls.from_columns(
+            [c.subject_id for c in curves],
+            np.array([c.t.size for c in curves]),
+            np.concatenate([c.t for c in curves]),
+            np.concatenate([c.x for c in curves]),
+        )
+
+    @classmethod
+    def from_columns(
+        cls, ids: list[str], lengths: np.ndarray, t: np.ndarray, x: np.ndarray
+    ) -> CurveSet:
+        """Curves stored back to back in long columns, validated and grouped by grid.
+
+        Each check runs on the whole columns; an error names the first
+        subject in column order that fails any of them.
+        """
+        starts = np.r_[0, np.cumsum(lengths)[:-1]]
+        inner = np.ones(max(t.size - 1, 0), dtype=bool)  # pairs of points within one curve
+        inner[starts[1:] - 1] = False
+        bad_points = [
+            (~(np.isfinite(t) & np.isfinite(x)), "non-finite values"),
+            ((t[1:] <= t[:-1]) & inner, "t must be strictly increasing"),
+        ]
+        failures = [(np.flatnonzero(lengths < 2), "need at least two observations")] + [
+            (np.searchsorted(starts, np.flatnonzero(bad), side="right") - 1, what)
+            for bad, what in bad_points
+        ]
+        failures = [(int(subjects[0]), what) for subjects, what in failures if subjects.size]
+        if failures:
+            first, what = min(failures, key=lambda f: f[0])
+            raise ValueError(f"curve {ids[first]}: {what}")
+
+        groups = []
+        for size in np.unique(lengths):
+            members = np.flatnonzero(lengths == size)
+            if members.size == lengths.size:  # one length: the columns reshape in place
+                grids, values = t.reshape(-1, size), x.reshape(-1, size)
+            else:
+                take = np.repeat(lengths == size, lengths)
+                grids, values = t[take].reshape(-1, size), x[take].reshape(-1, size)
+            if np.all(grids == grids[0]):  # one shared grid: no sorted copies of the grids
+                first, which = np.zeros(1, dtype=np.intp), np.zeros(members.size, dtype=np.intp)
+            else:
+                _, first, which = np.unique(grids, axis=0, return_index=True, return_inverse=True)
+            for k in range(first.size):
+                same = which == k
+                rows = members[same]
+                groups.append(
+                    CurveGroup(rows, grids[first[k]].copy(), values if same.all() else values[same])
+                )
+        groups.sort(key=lambda g: g.rows[0])
+        return cls(ids, groups)
+
+
+class CoefSet(_GroupedSet):
+    """Spline coefficients of curves, grouped by (basis layout, domain).
+
+    Each group's (members, K) matrix is the transpose of a C-ordered
+    (K, members) array, as ``fit_curves``' least-squares solve gives it,
+    so each row is a strided column.  With it, one batched product per
+    group sums in the same order as a product per curve.  ``fit_curves``
+    gives one group per grid, so two grids on one domain are two groups.
+    """
+
+    groups: list[CoefGroup]
+
+    @staticmethod
+    def _record(sid: str, g: CoefGroup, j: int) -> CoefCurve:
+        return CoefCurve(sid, g.coeffs[j], g.basis, g.domain)
+
+    @classmethod
+    def of(cls, curves: CoefSet | Sequence[CoefCurve]) -> CoefSet:
+        """The set itself, or a list of records grouped in first-seen order."""
+        if isinstance(curves, cls):
+            return curves
+        curves = list(curves)
+        by_layout: dict[tuple, list[int]] = {}
+        for i, c in enumerate(curves):
+            b = c.basis
+            key = (b.size, b.degree, b.domain.lo, b.domain.hi, c.domain.lo, c.domain.hi)
+            by_layout.setdefault(key, []).append(i)
+        groups = [
+            CoefGroup(
+                np.array(idx),
+                np.stack([curves[i].coeffs for i in idx], axis=1).T,
+                curves[idx[0]].basis,
+                curves[idx[0]].domain,
+            )
+            for idx in by_layout.values()
+        ]
+        return cls([c.subject_id for c in curves], groups)
+
+
+def fit_curves(observations: CurveSet | Sequence[CurveObservation], basis: BSplineBasis) -> CoefSet:
     """Least-squares spline coefficients for many curves.
 
-    Curves sharing an identical grid are solved together with one factorization.
-    A rank-deficient fit (grid too coarse for the basis) is an error rather
-    than a silent minimum-norm solution.
+    Curves sharing a grid are solved together with one factorization and
+    form one coefficient group, the transpose of the (K, members) solve.
+    A rank-deficient fit (grid too coarse for the basis) is an error
+    rather than a silent minimum-norm solution.
     """
-    groups: dict[bytes, list[int]] = {}
-    for i, obs in enumerate(observations):
-        groups.setdefault(obs.t.tobytes(), []).append(i)
-    out: list[CoefCurve | None] = [None] * len(observations)
-    for idx in groups.values():
-        t = observations[idx[0]].t
-        design = eval_basis_matrix(basis, t)
-        rhs = np.column_stack([observations[i].x for i in idx])
-        coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    curves = CurveSet.of(observations)
+    groups = []
+    for g in curves.groups:
+        design = eval_basis_matrix(basis, g.t)
+        coeffs, _, rank, _ = np.linalg.lstsq(design, g.x.T, rcond=None)
         if rank < basis.size:
-            bad = observations[idx[0]].subject_id
+            bad = curves.ids[g.rows[0]]
             raise ValueError(
                 f"curve grid for subject {bad} cannot identify {basis.size} basis coefficients"
             )
-        for j, i in enumerate(idx):
-            out[i] = CoefCurve(observations[i].subject_id, coeffs[:, j], basis, observations[i].domain)
-    return out  # type: ignore[return-value]
+        groups.append(CoefGroup(g.rows, coeffs.T, basis, g.domain))
+    return CoefSet(curves.ids, groups)
 
 
-def group_by_layout(
-    curves: Sequence[CoefCurve],
-) -> list[tuple[CoefCurve, np.ndarray, np.ndarray]]:
-    """Curves sharing one basis layout and one domain, in first-seen order.
-
-    Each group is its first curve, the members' indices, and their
-    coefficients as an (members, K) array.  The array is the transpose of
-    a (K, members) stack, so each row is a strided column: with it, one
-    batched product per group sums in the same order as a product per
-    curve, and the results are bitwise those of a loop over curves.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for i, curve in enumerate(curves):
-        b = curve.basis
-        key = (b.size, b.degree, b.domain.lo, b.domain.hi, curve.domain.lo, curve.domain.hi)
-        groups.setdefault(key, []).append(i)
-    return [
-        (curves[idx[0]], np.array(idx), np.stack([curves[i].coeffs for i in idx], axis=1).T)
-        for idx in groups.values()
-    ]
-
-
-def functional_scores(curves: Sequence[CoefCurve], basis_b: BSplineBasis) -> np.ndarray:
+def functional_scores(curves: CoefSet | Sequence[CoefCurve], basis_b: BSplineBasis) -> np.ndarray:
     """Rows of the reduced functional design: one score vector per subject.
 
     Row i dotted with the coefficient vector of the regression function
@@ -121,14 +263,15 @@ def functional_scores(curves: Sequence[CoefCurve], basis_b: BSplineBasis) -> np.
     Each (basis layout, domain) group takes one cross-Gram and one
     batched product.
     """
+    curves = CoefSet.of(curves)
     rows = np.empty((len(curves), basis_b.size))
-    for first, idx, coeffs in group_by_layout(curves):
-        if not basis_b.domain.contains(first.domain):
+    for g in curves.groups:
+        if not basis_b.domain.contains(g.domain):
             raise ValueError(
-                f"subject {first.subject_id} interval not inside the reference domain"
+                f"subject {curves.ids[g.rows[0]]} interval not inside the reference domain"
             )
-        gram = cross_gram(first.basis, basis_b, first.domain)
-        rows[idx] = np.matmul(coeffs[:, None, :], gram)[:, 0]
+        gram = cross_gram(g.basis, basis_b, g.domain)
+        rows[g.rows] = np.matmul(g.coeffs[:, None, :], gram)[:, 0]
     return rows
 
 
@@ -273,7 +416,7 @@ def expand_scalars(
 
 
 def build_design(
-    curves: Sequence[CoefCurve],
+    curves: CoefSet | Sequence[CoefCurve],
     basis_b: BSplineBasis,
     y: Sequence[float],
     scalars: Mapping[str, Sequence] | None = None,
@@ -286,13 +429,14 @@ def build_design(
     expansion if numeric and ``Categorical`` otherwise.  The intercept, when
     included, is appended as a final unpenalized column of ones.
     """
+    curves = CoefSet.of(curves)
     y = np.asarray(y, dtype=float)
     n = len(curves)
     if y.shape != (n,):
         raise ValueError(f"expected {n} responses, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite responses")
-    ids = [c.subject_id for c in curves]
+    ids = curves.ids
     if len(set(ids)) != n:
         raise ValueError("duplicate subject ids")
 
@@ -328,54 +472,108 @@ def build_design(
 
 # --- delimited-text interchange -------------------------------------------
 
+_CHUNK_ROWS = 16384  # curve-file rows parsed per np.loadtxt call; bounds the reader's transients
 
-def write_curves(path, curves: Sequence[CurveObservation]) -> None:
-    """Long-format curve file: subject_id, t, x with a header row."""
+
+def _csv_field(text: str) -> str:
+    """``text`` as the csv module writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
+def write_curves(path, curves: CurveSet | Sequence[CurveObservation]) -> None:
+    """Long-format curve file: subject_id, t, x with a header row.
+
+    The bytes are those of ``csv.writer`` writing ``repr`` of each float,
+    CRLF line ends included.  Each grid is formatted once, into a template
+    of its rows, and each subject's rows are written with one ``format``.
+    """
+    curves = CurveSet.of(curves)
+    templates = [
+        "".join(f"{{0}},{t!r},{{{j}!r}}\r\n" for j, t in enumerate(g.t.tolist(), 1))
+        for g in curves.groups
+    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "t", "x"])
-        for curve in curves:
-            for t, x in zip(curve.t, curve.x):
-                writer.writerow([curve.subject_id, repr(float(t)), repr(float(x))])
+        fh.write("subject_id,t,x\r\n")
+        for sid, k, j in zip(curves.ids, curves._group.tolist(), curves._pos.tolist()):
+            fh.write(templates[k].format(_csv_field(sid), *curves.groups[k].x[j].tolist()))
 
 
-def read_curves(path) -> list[CurveObservation]:
+def _parse_chunk(path, lines: list[str], first_line: int) -> np.ndarray:
+    """One chunk of curve-file rows as a structured (id, t, x) array."""
+    with warnings.catch_warnings():
+        # blank lines alone, or a header-only file, are no data and no problem
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            return np.loadtxt(
+                lines, delimiter=",", comments=None, quotechar='"', usecols=(0, 1, 2),
+                dtype=[("id", object), ("t", float), ("x", float)], ndmin=1,
+            )
+        except ValueError as err:
+            problem = err
+    for k, row in enumerate(csv.reader(lines)):
+        try:
+            if row:
+                float(row[1]), float(row[2])
+        except (IndexError, ValueError):
+            raise ValueError(
+                f"{path}: line {first_line + k}: subject {row[0]}: "
+                f"expected numeric t and x, got {row[1:]}"
+            ) from None
+    raise ValueError(f"{path}: {problem}") from None
+
+
+def read_curves(path) -> CurveSet:
     """Read a long-format curve file; rows for one subject must be contiguous.
 
-    The body is parsed by one ``np.loadtxt`` call with the csv module's
-    quoting, so ids may hold commas, quotes and ``#``.  A subject whose
-    rows are split by another subject's is an error.
+    The body streams through ``np.loadtxt`` in chunks of ``_CHUNK_ROWS``
+    rows with the csv module's quoting, so ids may hold commas, quotes and
+    ``#``.  Only the float columns and one id per run of rows are kept: a
+    subject whose rows straddle a chunk boundary is joined, and a subject
+    whose rows are split by another subject's is an error.  Errors name
+    the file and the first bad subject.
     """
+    ids: list[str] = []
+    lengths: list[int] = []
+    t_parts: list[np.ndarray] = []
+    x_parts: list[np.ndarray] = []
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
         if header is None or [h.strip() for h in header[:3]] != ["subject_id", "t", "x"]:
             raise ValueError(f"{path}: expected header subject_id,t,x")
-        with warnings.catch_warnings():
-            # a header-only file is an empty cohort, not a problem to report
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                body = np.loadtxt(
-                    fh, delimiter=",", comments=None, quotechar='"', usecols=(0, 1, 2),
-                    dtype=[("id", object), ("t", float), ("x", float)], ndmin=1,
-                )
-            except ValueError as err:
-                raise ValueError(f"{path}: {err}") from None
-    if body.size == 0:
-        return []
-    ids = body["id"]
-    t = np.ascontiguousarray(body["t"])
-    x = np.ascontiguousarray(body["x"])
-    starts = np.r_[0, np.flatnonzero(ids[1:] != ids[:-1]) + 1]
-    stops = np.r_[starts[1:], ids.size]
+        line = 2
+        while lines := list(itertools.islice(fh, _CHUNK_ROWS)):
+            body = _parse_chunk(path, lines, line)
+            line += len(lines)
+            if body.size == 0:
+                continue
+            sid = body["id"]
+            starts = np.flatnonzero(np.r_[True, sid[1:] != sid[:-1]])
+            runs = np.diff(np.r_[starts, sid.size]).tolist()
+            first = sid[starts].tolist()
+            if ids and first[0] == ids[-1]:  # the last chunk's subject goes on
+                lengths[-1] += runs.pop(0)
+                first.pop(0)
+            ids += first
+            lengths += runs
+            t_parts.append(body["t"].copy())
+            x_parts.append(body["x"].copy())
     seen: set[str] = set()
-    curves = []
-    for a, b in zip(starts, stops):
-        sid = ids[a]
+    for sid in ids:
         if sid in seen:
             raise ValueError(f"{path}: rows of subject {sid} are not contiguous")
         seen.add(sid)
-        curves.append(CurveObservation(sid, t[a:b], x[a:b]))
-    return curves
+    if not ids:
+        return CurveSet([], [])
+    x = np.concatenate(x_parts)
+    del x_parts  # one column and its parts at a time
+    t = np.concatenate(t_parts)
+    del t_parts
+    try:
+        return CurveSet.from_columns(ids, np.array(lengths), t, x)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_scalars(
@@ -412,8 +610,18 @@ def read_scalars(path) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
         for line in reader:
             if not line:
                 continue
+            if len(line) < 2 + len(names):
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: subject {line[0]} has {len(line)} "
+                    f"fields, expected {2 + len(names)}"
+                )
+            try:
+                y.append(float(line[1]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: subject {line[0]}: response {line[1]!r} is not a number"
+                ) from None
             ids.append(line[0])
-            y.append(float(line[1]))
             raw.append(line[2:])
     scalars: dict[str, np.ndarray] = {}
     for j, name in enumerate(names):

@@ -22,7 +22,7 @@ from sofreg.decision import (
     selection_on_grid,
 )
 from sofreg.dhs import DhsConfig
-from sofreg.funcdata import CurveObservation, build_design, fit_curves
+from sofreg.funcdata import CurveSet, build_design, fit_curves
 from sofreg.gibbs import FitConfig, fit, summarize_coefficient
 from sofreg.simulate import MethodFn, MethodResult, SimulationDesign
 
@@ -49,7 +49,7 @@ class MethodSettings:
 
 
 def assemble_design(
-    curves: list[CurveObservation], y: np.ndarray, design: SimulationDesign, s: MethodSettings
+    curves: CurveSet, y: np.ndarray, design: SimulationDesign, s: MethodSettings
 ):
     curve_basis = BSplineBasis(design.domain, s.curve_basis_size, s.degree)
     coef_basis = BSplineBasis(design.domain, s.coef_basis_size, s.degree)

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix
-from sofreg.funcdata import CurveObservation, fit_curves, functional_scores
+from sofreg.funcdata import CurveGroup, CurveObservation, CurveSet, fit_curves, functional_scores
 
 
 # --- truth functions ---------------------------------------------------------------
@@ -130,27 +130,32 @@ def _gp_factor(grid: np.ndarray, gp: GpSettings) -> np.ndarray:
         return np.linalg.cholesky(cov + 1e-8 * np.eye(grid.size))
 
 
-def gen_curves(design: SimulationDesign, rng: np.random.Generator) -> list[CurveObservation]:
-    """Gaussian-process curves on the design grid, one phase offset per subject."""
+def gen_curves(design: SimulationDesign, rng: np.random.Generator) -> CurveSet:
+    """Gaussian-process curves on the design grid, one phase offset per subject.
+
+    Each subject draws its phase, then its grid's normals, in turn; the
+    values are one batched matrix-vector product with the GP factor.
+    """
     grid = design.grid
     factor = _gp_factor(grid, design.gp)
-    curves = []
+    phase = np.zeros((design.n, 1))
+    normals = np.empty((design.n, grid.size))
     for i in range(design.n):
         if design.gp.seasonal:
-            phase = rng.uniform(0.0, 1.0)
-            mean = np.sin(2.0 * math.pi * grid / design.gp.period + phase)
-        else:
-            mean = np.zeros(grid.size)
-        values = mean + factor @ rng.standard_normal(grid.size)
-        curves.append(CurveObservation(subject_id=f"s{i:06d}", t=grid, x=values))
-    return curves
+            phase[i] = rng.uniform(0.0, 1.0)
+        rng.standard_normal(out=normals[i])
+    values = np.matmul(factor, normals[:, :, None])[:, :, 0]
+    mean = np.sin(2.0 * math.pi * grid / design.gp.period + phase) if design.gp.seasonal else 0.0
+    values += mean  # bitwise mean + factor @ z, a -0.0 product included
+    ids = [f"s{i:06d}" for i in range(design.n)]
+    return CurveSet(ids, [CurveGroup(np.arange(design.n), grid, values)])
 
 
 # --- responses -----------------------------------------------------------------------
 
 
 def functional_signals(
-    curves: list[CurveObservation],
+    curves: CurveSet | list[CurveObservation],
     truth: TruthSpec,
     basis: BSplineBasis | None = None,
     route: str = "spline",
@@ -162,10 +167,12 @@ def functional_signals(
     the raw grid values and shares nothing with the estimation pipeline,
     making it an independent cross-check.
     """
+    curves = CurveSet.of(curves)
     if route == "trapezoid":
-        return np.array(
-            [np.trapezoid(c.x * truth(c.t), c.t) for c in curves]
-        )
+        signals = np.empty(len(curves))
+        for g in curves.groups:
+            signals[g.rows] = np.trapezoid(g.x * truth(g.t), g.t, axis=1)
+        return signals
     if route != "spline":
         raise ValueError(f"unknown signal route {route!r}")
     if basis is None:
@@ -274,14 +281,14 @@ class MethodResult:
 
 
 MethodFn = Callable[
-    [list[CurveObservation], np.ndarray, SimulationDesign, np.random.Generator],
+    [CurveSet, np.ndarray, SimulationDesign, np.random.Generator],
     MethodResult,
 ]
 
 
 def replicate_data(
     design: SimulationDesign, rep: int
-) -> tuple[list[CurveObservation], np.ndarray, float]:
+) -> tuple[CurveSet, np.ndarray, float]:
     """Deterministic dataset for one replicate: curves, responses, noise sd."""
     if not 0 <= rep < design.replicates:
         raise ValueError(f"replicate {rep} outside 0..{design.replicates - 1}")

@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 from scipy.interpolate import BSpline
 
@@ -262,6 +263,7 @@ def test_criterion_01_sampler_conditional_oracles():
 # --- criterion 2: Geweke prior-reproduction ------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_02_geweke_prior_reproduction():
     start = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -295,6 +297,7 @@ def test_criterion_02_geweke_prior_reproduction():
 # --- criterion 3: estimation/UQ ordering on the seasonal design ----------------------
 
 
+@pytest.mark.slow
 def test_criterion_03_seasonal_estimation_ordering():
     start = time.monotonic()
     design = SimulationDesign(
@@ -332,6 +335,7 @@ def test_criterion_03_seasonal_estimation_ordering():
 # --- criterion 4: window-selection ordering, decision analysis vs intervals ----------
 
 
+@pytest.mark.slow
 def test_criterion_04_window_selection_ordering():
     start = time.monotonic()
     design = SimulationDesign(

@@ -128,6 +128,24 @@ def test_fit_requires_response_file(tmp_path, capsys):
     assert "scalar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_row, problem",
+    [("s000003\n", "fields"), ("s000003,zz\n", "'zz' is not a number")],
+    ids=["short-row", "non-numeric-response"],
+)
+def test_fit_rejects_malformed_scalar_file_naming_file_and_subject(tmp_path, capsys, bad_row, problem):
+    sim = tmp_path / "sim"
+    cfg = write_config(tmp_path / "c.yaml", {"n": 6, "grid": {"points": 15}, "signal": {"basis_size": 5}})
+    assert run(["simulate", "--config", cfg, "--out-dir", str(sim)]) == 0
+    scalars = tmp_path / "scalars.csv"
+    lines = (sim / "scalars_rep000.csv").read_text().splitlines(keepends=True)
+    scalars.write_text("".join(lines[:4] + [bad_row] + lines[5:]))
+    argv = ["fit", "--curves", str(sim / "curves_rep000.csv"), "--scalars", str(scalars)]
+    assert run(argv + ["--out-dir", str(tmp_path / "f")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(scalars) in err and "s000003" in err and problem in err
+
+
 @pytest.fixture(scope="module")
 def pipeline_dirs(tmp_path_factory):
     """One tiny simulate -> fit -> summarize chain shared by the checks below."""
@@ -200,6 +218,11 @@ def pipeline_dirs(tmp_path_factory):
 def test_fit_writes_archive_and_snapshot(pipeline_dirs):
     _, _, fit_dir, _ = pipeline_dirs
     assert (fit_dir / "archive" / "manifest.yaml").exists()
+    report = json.loads((fit_dir / "fit_report.json").read_text())  # beside the archive
+    assert report["subjects"] == 14 and report["grids"] == 1
+    assert set(report["seconds"]) == {"read", "project", "sample", "save"}
+    assert all(v >= 0.0 for v in report["seconds"].values())
+    assert report["peak_rss_mb"] > 0.0
     snapshot = yaml.safe_load((fit_dir / "fit_config.yaml").read_text())
     assert snapshot["sampler"]["burnin"] == 80
     # untouched defaults survive resolution
@@ -297,6 +320,10 @@ def test_summarize_writes_path_report(pipeline_dirs):
     assert report["family_size"] == sum(int(r[header.index("acceptable")]) for r in rows)
     kkt = [float(r[header.index("kkt_residual")]) for r in rows]
     assert report["max_kkt_residual"] == max(kkt)
+    stages = {"read", "load", "project", "summarize_coefficient", "analyze"}
+    assert set(report["seconds"]) == stages
+    assert all(v >= 0.0 for v in report["seconds"].values())
+    assert report["peak_rss_mb"] > 0.0
 
 
 def test_summarize_rejects_mismatched_scalars(pipeline_dirs, tmp_path, capsys):

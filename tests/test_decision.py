@@ -369,7 +369,7 @@ def test_aggregate_matches_per_cell_oracle_bitwise_on_fitted_curves():
     obs = [CurveObservation(f"s{i}", grid, rng.standard_normal(grid.size)) for i in range(25)]
     other = np.linspace(0.0, 1.0, 33)
     obs += [CurveObservation(f"u{i}", other, rng.standard_normal(other.size)) for i in range(5)]
-    curves = fit_curves(obs, basis)
+    curves = list(fit_curves(obs, basis))  # records: views into the set's groups
     # subjects seen on part of the domain: a domain group of their own
     short = Domain(0.15, 0.8)
     curves[3:6] = [CoefCurve(c.subject_id, c.coeffs, basis, short) for c in curves[3:6]]

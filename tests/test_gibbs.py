@@ -236,6 +236,7 @@ GEWEKE_CONFIG = FitConfig(
 )
 
 
+@pytest.mark.slow
 def test_successive_conditional_chain_matches_prior():
     design = geweke_design()
     rng = np.random.default_rng(202)
@@ -298,6 +299,7 @@ def horseshoe_gibbs_oracle(y, x, dop, n_iter, rng, hyper=0.01):
     return keep
 
 
+@pytest.mark.slow
 @pytest.mark.slow
 def test_zero_persistence_posterior_matches_horseshoe_oracle():
     rng = np.random.default_rng(55)
