@@ -6,6 +6,13 @@ basis evaluation, integrals of basis functions over subintervals, and
 cross-Gram matrices coupling two bases over a shared subinterval.
 Integrals use per-segment Gauss-Legendre rules that are exact for the
 piecewise-polynomial integrands, so no tolerance tuning is needed.
+
+Basis values come from the Cox-de Boor recurrence (de Boor 1978, *A
+Practical Guide to Splines*), vectorized over points.  The recurrence
+and the sums of the integral operators run in the order of scipy's
+sparse B-spline design matrix, so the values, integrals and Grams are
+bitwise those of ``scipy.interpolate.BSpline.design_matrix`` and its
+sparse products, without importing scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import BSpline
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,33 @@ def eval_basis(basis: BSplineBasis, t: float) -> np.ndarray:
     return eval_basis_matrix(basis, np.array([t]))[0]
 
 
+def _nonzero_values(basis: BSplineBasis, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``degree + 1`` possibly nonzero basis values at each point, and the first's index.
+
+    Point x lies in the knot interval ``knots[ell] <= x < knots[ell + 1]``,
+    clamped to the last nonempty interval at the right end; functions
+    ``ell - degree`` to ``ell`` are the ones alive there.  The recurrence
+    runs in scipy's ``_deBoor_D`` order: for j = 1..degree and n = 1..j,
+    ``w = prev[n-1] / (knots[ell+n] - knots[ell+n-j])``, then
+    ``h[n-1] += w (knots[ell+n] - x)`` and ``h[n] = w (x - knots[ell+n-j])``,
+    with ``h[n] = 0`` where the two knots coincide.
+    """
+    knots, k = basis.knots, basis.degree
+    ell = np.clip(np.searchsorted(knots, t, side="right") - 1, k, basis.size - 1)
+    h = np.zeros((k + 1, t.size))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        prev = h[:j].copy()
+        h[0] = 0.0
+        for n in range(1, j + 1):
+            right, left = knots[ell + n], knots[ell + n - j]
+            span = right - left
+            w = np.divide(prev[n - 1], span, out=np.zeros(t.size), where=span != 0.0)
+            h[n - 1] += w * (right - t)
+            h[n] = w * (t - left)
+    return h.T, ell - k
+
+
 def eval_basis_matrix(basis: BSplineBasis, t: np.ndarray) -> np.ndarray:
     """Dense (len(t), size) matrix of basis values at points ``t``."""
     t = np.asarray(t, dtype=float)
@@ -103,9 +136,10 @@ def eval_basis_matrix(basis: BSplineBasis, t: np.ndarray) -> np.ndarray:
         raise ValueError("t must be one dimensional")
     if t.size and (t.min() < basis.domain.lo or t.max() > basis.domain.hi):
         raise ValueError("evaluation points outside basis domain")
-    if t.size == 0:
-        return np.zeros((0, basis.size))
-    return BSpline.design_matrix(t, basis.knots, basis.degree).toarray()
+    values, first = _nonzero_values(basis, t)
+    out = np.zeros((t.size, basis.size))
+    out[np.arange(t.size)[:, None], first[:, None] + np.arange(basis.degree + 1)] = values
+    return out
 
 
 def _gauss_nodes(basis_degrees: tuple[int, ...], segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +175,11 @@ def integrate_basis(basis: BSplineBasis, sub: Domain | None = None) -> np.ndarra
         raise ValueError("integration interval not contained in basis domain")
     segments = _segment_breaks([basis.breakpoints], sub)
     nodes, weights = _gauss_nodes((basis.degree,), segments)
-    design = BSpline.design_matrix(nodes, basis.knots, basis.degree)
-    return np.asarray(design.T @ weights).ravel()
+    values, first = _nonzero_values(basis, nodes)
+    out = np.zeros(basis.size)
+    # unbuffered adds, node by node in node order: a sparse product's sums
+    np.add.at(out, first[:, None] + np.arange(basis.degree + 1), values * weights[:, None])
+    return out
 
 
 def cross_gram(
@@ -162,10 +199,15 @@ def cross_gram(
         raise ValueError("integration interval must lie in both basis domains")
     segments = _segment_breaks([basis_row.breakpoints, basis_col.breakpoints], sub)
     nodes, weights = _gauss_nodes((basis_row.degree, basis_col.degree), segments)
-    row = BSpline.design_matrix(nodes, basis_row.knots, basis_row.degree)
-    col = BSpline.design_matrix(nodes, basis_col.knots, basis_col.degree)
-    weighted = row.multiply(weights[:, None]).tocsr()
-    return (weighted.T @ col).toarray()
+    row, row_first = _nonzero_values(basis_row, nodes)
+    col, col_first = _nonzero_values(basis_col, nodes)
+    rows = row_first[:, None, None] + np.arange(basis_row.degree + 1)[None, :, None]
+    cols = col_first[:, None, None] + np.arange(basis_col.degree + 1)[None, None, :]
+    # Fortran order, as a sparse product's dense copy comes out: batched
+    # products with this Gram (``functional_scores``) sum in the layout's order
+    gram = np.zeros((basis_row.size, basis_col.size), order="F")
+    np.add.at(gram, (rows, cols), (row * weights[:, None])[:, :, None] * col[:, None, :])
+    return gram
 
 
 def second_difference_matrix(size: int) -> np.ndarray:

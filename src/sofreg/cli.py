@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import hashlib
 import json
 import logging
 import resource
@@ -43,9 +44,11 @@ from sofreg.funcdata import (
     write_scalars,
 )
 from sofreg.gibbs import (
+    ArchivedCurves,
     FitConfig,
     NumericalError,
     fit,
+    load_curves,
     load_draws,
     save_draws,
     stable_hash,
@@ -127,7 +130,6 @@ def _defaults(command: str) -> dict:
             "archive": None,
             "curves": None,
             "scalars": None,
-            "basis": {"curve_size": pipeline["curve_basis_size"], "degree": pipeline["degree"]},
             "epsilon": pipeline["epsilon"],
             "zero_tol": pipeline["zero_tol"],
             "pred_draws": 1000,
@@ -276,17 +278,20 @@ def _require_file(resolved: dict, key: str) -> Path:
     return path
 
 
-def _load_dataset(resolved: dict):
-    curves = read_curves(_require_file(resolved, "curves"))
-    scalars_path = resolved.get("scalars")
-    covariates = None
-    y = None
-    if scalars_path is not None:
-        ids, y, columns = read_scalars(_require_file(resolved, "scalars"))
-        if ids != curves.ids:
-            raise ConfigError("scalar file subjects do not match the curve file")
-        covariates = columns or None
-    return curves, y, covariates
+def _load_scalars(resolved: dict, ids: list[str], source: str):
+    """Response and covariates from the scalar file, whose subjects must be ``ids``."""
+    scalar_ids, y, columns = read_scalars(_require_file(resolved, "scalars"))
+    if scalar_ids != ids:
+        raise ConfigError(f"scalar file subjects do not match {source}")
+    return y, columns or None
+
+
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _assemble(curves, y, covariates, curve_size: int, coef_size: int, degree: int):
@@ -340,27 +345,34 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_fit(resolved: dict) -> int:
+    curves_path = _require_file(resolved, "curves")
+    if resolved.get("scalars") is None:
+        raise ConfigError("fit needs a scalar file with the response column")
     seconds: dict[str, float] = {}
     with _stage(seconds, "read"):
-        curves, y, covariates = _load_dataset(resolved)
-    if y is None:
-        raise ConfigError("fit needs a scalar file with the response column")
+        curves = read_curves(curves_path)
+        y, covariates = _load_scalars(resolved, curves.ids, "the curve file")
+        curves_sha256 = _file_sha256(curves_path)
     cfg_hash = _snapshot(resolved, "fit")
     out_dir = Path(resolved["out_dir"])
     basis_cfg = resolved["basis"]
     with _stage(seconds, "project"):
-        _, design = _assemble(
+        coefs, design = _assemble(
             curves, y, covariates, basis_cfg["curve_size"], basis_cfg["coef_size"], basis_cfg["degree"]
         )
+    grid = np.unique(np.concatenate([g.t for g in curves.groups]))
     sampler = dict(resolved["sampler"])
     refresh = sampler.pop("refresh")
     config = FitConfig(**sampler, dhs=DhsConfig(refresh=refresh))
     with _stage(seconds, "sample"):
         draws = fit(design, config, seed=resolved["seed"])
     with _stage(seconds, "save"):
-        archive_hash = save_draws(draws, out_dir / "archive")
+        archive_hash = save_draws(
+            draws, out_dir / "archive", ArchivedCurves(coefs, grid, curves_sha256)
+        )
     report = {
         "config_hash": cfg_hash,
+        "curves_sha256": curves_sha256,
         "subjects": len(curves),
         "grids": len(curves.groups),
         "seconds": seconds,
@@ -372,21 +384,32 @@ def cmd_fit(resolved: dict) -> int:
 
 
 def cmd_summarize(resolved: dict) -> int:
+    """Decision analysis on an archive, from the curve coefficients the fit stored.
+
+    The curve file is not read again: its SHA-256 must match the one the
+    archive records, and the design is rebuilt from the archived
+    coefficients on the fit's own bases.
+    """
     archive = _require_file(resolved, "archive")
-    seconds: dict[str, float] = {}
-    with _stage(seconds, "read"):
-        curves, y, covariates = _load_dataset(resolved)
-    if y is None:
+    curves_path = _require_file(resolved, "curves")
+    if resolved.get("scalars") is None:
         raise ConfigError("summarize needs the scalar file used for the fit")
-    cfg_hash = _snapshot(resolved, "summarize")
-    out_dir = Path(resolved["out_dir"])
+    seconds: dict[str, float] = {}
     with _stage(seconds, "load"):
         draws = load_draws(archive)
-    basis_cfg = resolved["basis"]
-    with _stage(seconds, "project"):
-        coef_curves, design = _assemble(
-            curves, y, covariates, basis_cfg["curve_size"], draws.basis.size, basis_cfg["degree"]
-        )
+        fitted = load_curves(archive)
+    with _stage(seconds, "verify"):
+        digest = _file_sha256(curves_path)
+        if digest != fitted.sha256:
+            raise ConfigError(
+                f"curve file {curves_path} has SHA-256 {digest}, but the archive was fit "
+                f"to a curve file with SHA-256 {fitted.sha256}"
+            )
+        y, covariates = _load_scalars(resolved, fitted.coefs.ids, "the archived fit's subjects")
+    cfg_hash = _snapshot(resolved, "summarize")
+    out_dir = Path(resolved["out_dir"])
+    with _stage(seconds, "design"):
+        design = build_design(fitted.coefs, draws.basis, y, scalars=covariates)
     if design.z_names != draws.alpha_names:
         raise ConfigError("scalar columns do not match the archived fit")
 
@@ -409,15 +432,14 @@ def cmd_summarize(resolved: dict) -> int:
 
     cells = resolved["partition_cells"]
     if cells is None:
-        breaks = np.unique(np.concatenate([g.t for g in curves.groups]))
-        partition = Partition.from_grid(breaks)
+        partition = Partition.from_grid(fitted.grid)
     else:
         partition = Partition.regular(draws.basis.domain, int(cells))
     with _stage(seconds, "analyze"):
         summary = analyze(
             draws,
             design,
-            coef_curves,
+            fitted.coefs,
             partition,
             np.asarray(y, dtype=float),
             np.random.default_rng(resolved["seed"]),

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
-from scipy.special import expit, log_ndtr, ndtr, ndtri
+
+# scipy is imported inside the functions that call it: the commands that do
+# not sample import this module but should not pay for loading scipy.
 
 # Ten-component Gaussian mixture for the log chi^2_1 distribution
 # (Omori, Chib, Shephard and Nakajima, 2007, Table 1).
@@ -49,7 +50,8 @@ LOG_SQUARE_JITTER = 1e-10  # keeps log(d^2) finite when a difference hits zero
 
 _PG_TRUNC = 0.64  # switch point between the two series representations
 _PG_TIG_BATCH = 4  # truncated inverse-Gaussian proposals per entry and round
-_PG_TAIL_MASS = float(ndtr(-1.0 / math.sqrt(_PG_TRUNC)))  # P(1/chi^2_1 <= _PG_TRUNC) / 2
+# ndtr(-1 / sqrt(_PG_TRUNC)) = P(1/chi^2_1 <= _PG_TRUNC) / 2, as a literal for the reason above
+_PG_TAIL_MASS = 0.10564977366685535
 
 
 def _pg_a_coef(n: int, x: np.ndarray) -> np.ndarray:
@@ -64,6 +66,8 @@ def _pg_a_coef(n: int, x: np.ndarray) -> np.ndarray:
 
 def _pg_mass_texpon(z: np.ndarray) -> np.ndarray:
     # probability that the proposal comes from the exponential tail piece
+    from scipy.special import expit, log_ndtr
+
     t = _PG_TRUNC
     fz = math.pi**2 / 8.0 + z**2 / 2.0
     b = math.sqrt(1.0 / t) * (t * z - 1.0)
@@ -79,6 +83,8 @@ def _pg_rtigauss(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     # inverse-Gaussian(1/z, 1) truncated to (0, _PG_TRUNC], one draw per entry.
     # Each round makes _PG_TIG_BATCH proposals for every entry still open and
     # keeps the first accepted, which is plain rejection sampling in batches.
+    from scipy.special import ndtri
+
     t = _PG_TRUNC
     out = np.empty(z.size)
     todo = np.arange(z.size)
@@ -256,6 +262,8 @@ def sample_mixture_indicators(
 
 
 def _banded_chol(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    from scipy.linalg import cholesky_banded
+
     band = np.zeros((2, diag.size))
     band[0] = diag
     band[1, :-1] = offdiag
@@ -264,6 +272,8 @@ def _banded_chol(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
 
 def _banded_noise(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
     # solve L' x = z so that x has covariance (L L')^{-1}
+    from scipy.linalg import solve_banded
+
     upper = np.zeros_like(chol)
     upper[0, 1:] = chol[1, :-1]
     upper[1] = chol[0]
@@ -315,6 +325,8 @@ def sample_log_vols_and_level(
     the path out of the level draw (a banded Schur complement) removes
     that coupling at the same O(size) cost.
     """
+    from scipy.linalg import cho_solve_banded
+
     diag, offdiag, lin_h, coupling, level_prec, level_lin = _log_vol_level_joint(
         d2, state, config
     )

@@ -29,7 +29,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.linalg import cho_solve, solve_triangular
 
 from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix, second_difference_matrix
 from sofreg.dhs import (
@@ -43,7 +42,7 @@ from sofreg.dhs import (
     sample_mixture_indicators,
     sample_z_dist,
 )
-from sofreg.funcdata import RegressionDesign
+from sofreg.funcdata import CoefGroup, CoefSet, RegressionDesign
 
 log = logging.getLogger(__name__)
 
@@ -139,6 +138,9 @@ def sample_gaussian_by_precision(
     marginally indefinite matrix from roundoff does not kill a long run;
     the retry is logged as a warning.
     """
+    # imported here, not at the top, so that summaries and archives load without scipy
+    from scipy.linalg import cho_solve, solve_triangular
+
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
@@ -590,6 +592,24 @@ def block_fit_draws(
 
 # --- flat-file draw archive ----------------------------------------------------
 
+ARCHIVE_FORMAT = "sofreg-draws-v2"
+_READABLE_FORMATS = ("sofreg-draws-v1", ARCHIVE_FORMAT)  # v1: draws only
+
+
+@dataclass
+class ArchivedCurves:
+    """The curves a fit was made from, as an archive keeps them.
+
+    ``coefs`` are their spline coefficients (one group per basis layout
+    and domain, as ``fit_curves`` gave them), ``grid`` the union of their
+    sampling grids and ``sha256`` the digest of the curve file they were
+    read from.
+    """
+
+    coefs: CoefSet
+    grid: np.ndarray
+    sha256: str
+
 
 def _basis_meta(basis: BSplineBasis) -> dict:
     return {
@@ -604,10 +624,39 @@ def _basis_from_meta(meta: dict) -> BSplineBasis:
     return BSplineBasis(Domain(meta["lo"], meta["hi"]), meta["size"], meta["degree"])
 
 
-def save_draws(draws: PosteriorDraws, directory) -> str:
+def _curves_section(curves: ArchivedCurves, directory: Path) -> dict:
+    """Write the curves' files; returns their manifest section.
+
+    The ids go to JSON, not into the YAML manifest: PyYAML takes about a
+    second to load 20 000 of them.  Each group's coefficients are stored
+    as the C-ordered (K, members) array whose transpose the group holds,
+    so the reloaded group has the fit's memory layout and every product
+    with it sums in the fit's order.
+    """
+    (directory / "subject_ids.json").write_text(json.dumps(curves.coefs.ids))
+    np.ascontiguousarray(curves.grid, dtype="<f8").tofile(directory / "grid.bin")
+    groups = []
+    for k, g in enumerate(curves.coefs.groups):
+        rows, coeffs = f"curves_{k}_rows.bin", f"curves_{k}_coeffs.bin"
+        np.ascontiguousarray(g.rows, dtype="<i8").tofile(directory / rows)
+        np.ascontiguousarray(g.coeffs.T, dtype="<f8").tofile(directory / coeffs)
+        groups.append(
+            {
+                "rows": rows,
+                "coeffs": coeffs,
+                "basis": _basis_meta(g.basis),
+                "domain": [float(g.domain.lo), float(g.domain.hi)],
+            }
+        )
+    return {"sha256": curves.sha256, "ids": "subject_ids.json", "grid": "grid.bin", "groups": groups}
+
+
+def save_draws(draws: PosteriorDraws, directory, curves: ArchivedCurves | None = None) -> str:
     """Write the draw archive: a manifest plus raw little-endian arrays.
 
-    Returns the configuration hash recorded in the manifest.
+    With ``curves``, the archive also keeps the fitted curves that
+    ``load_curves`` reads back.  Returns the configuration hash recorded
+    in the manifest.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -631,7 +680,7 @@ def save_draws(draws: PosteriorDraws, directory) -> str:
         {"config": config_dict, "basis": _basis_meta(draws.basis), "n_draws": draws.n_draws}
     )
     manifest = {
-        "format": "sofreg-draws-v1",
+        "format": ARCHIVE_FORMAT,
         "prior": draws.prior,
         "seed": draws.seed,
         "config": config_dict,
@@ -647,18 +696,25 @@ def save_draws(draws: PosteriorDraws, directory) -> str:
         arr = np.ascontiguousarray(arr, dtype="<f8")
         arr.tofile(directory / fname)
         manifest["arrays"][name] = {"file": fname, "shape": list(arr.shape)}
+    if curves is not None:
+        manifest["curves"] = _curves_section(curves, directory)
     with open(directory / "manifest.yaml", "w") as fh:
         yaml.safe_dump(manifest, fh, sort_keys=True)
     return config_hash
 
 
-def load_draws(directory) -> PosteriorDraws:
-    """Rebuild a ``PosteriorDraws`` from an archive directory."""
-    directory = Path(directory)
+def _read_manifest(directory: Path) -> dict:
     with open(directory / "manifest.yaml") as fh:
         manifest = yaml.safe_load(fh)
-    if manifest.get("format") != "sofreg-draws-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") not in _READABLE_FORMATS:
         raise ValueError(f"{directory}: not a draw archive")
+    return manifest
+
+
+def load_draws(directory) -> PosteriorDraws:
+    """Rebuild a ``PosteriorDraws`` from an archive directory (either format)."""
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
     arrays = {}
     for name, meta in manifest["arrays"].items():
         data = np.fromfile(directory / meta["file"], dtype="<f8")
@@ -690,3 +746,24 @@ def load_draws(directory) -> PosteriorDraws:
         local_var=arrays.get("local_var"),
         seed=manifest.get("seed"),
     )
+
+
+def load_curves(directory) -> ArchivedCurves:
+    """The fitted curves an archive keeps; an error if it keeps none."""
+    directory = Path(directory)
+    manifest = _read_manifest(directory)
+    section = manifest.get("curves")
+    if section is None:
+        raise ValueError(
+            f"{directory}: this {manifest['format']} archive keeps no fitted curves; "
+            f"re-run `sofreg fit` to write a {ARCHIVE_FORMAT} archive"
+        )
+    ids = json.loads((directory / section["ids"]).read_text())
+    groups = []
+    for gm in section["groups"]:
+        rows = np.fromfile(directory / gm["rows"], dtype="<i8")
+        basis = _basis_from_meta(gm["basis"])
+        coeffs = np.fromfile(directory / gm["coeffs"], dtype="<f8").reshape(basis.size, rows.size)
+        groups.append(CoefGroup(rows, coeffs.T, basis, Domain(*gm["domain"])))
+    grid = np.fromfile(directory / section["grid"], dtype="<f8")
+    return ArchivedCurves(CoefSet(ids, groups), grid, section["sha256"])

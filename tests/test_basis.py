@@ -8,6 +8,8 @@ import pytest
 from sofreg.basis import (
     BSplineBasis,
     Domain,
+    _gauss_nodes,
+    _segment_breaks,
     cross_gram,
     eval_basis,
     eval_basis_matrix,
@@ -196,3 +198,67 @@ def test_domain_validation():
         Domain(0.0, float("nan"))
     assert Domain(0.0, 2.0).intersect(Domain(1.0, 3.0)) == Domain(1.0, 2.0)
     assert Domain(0.0, 1.0).intersect(Domain(2.0, 3.0)) is None
+
+
+# --- bitwise agreement with scipy's sparse B-spline design matrix ------------------
+#
+# The evaluator and the integral operators promise scipy's values and sums,
+# bit for bit; every downstream output (scores, aggregated designs, path
+# knots) depends on those last bits.
+
+
+def _scipy_design(basis: BSplineBasis, t: np.ndarray):
+    from scipy.interpolate import BSpline
+
+    return BSpline.design_matrix(t, basis.knots, basis.degree)
+
+
+def _scipy_integrals(basis: BSplineBasis, sub: Domain) -> np.ndarray:
+    segments = _segment_breaks([basis.breakpoints], sub)
+    nodes, weights = _gauss_nodes((basis.degree,), segments)
+    return np.asarray(_scipy_design(basis, nodes).T @ weights).ravel()
+
+
+def _scipy_gram(row_basis: BSplineBasis, col_basis: BSplineBasis, sub: Domain) -> np.ndarray:
+    segments = _segment_breaks([row_basis.breakpoints, col_basis.breakpoints], sub)
+    nodes, weights = _gauss_nodes((row_basis.degree, col_basis.degree), segments)
+    weighted = _scipy_design(row_basis, nodes).multiply(weights[:, None]).tocsr()
+    return (weighted.T @ _scipy_design(col_basis, nodes)).toarray()
+
+
+DOMAINS = [Domain(0.0, 1.0), Domain(-2.5, 7.3)]
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "wide"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("size", [5, 17, 53, 100])
+def test_eval_is_bitwise_scipy(domain, degree, size):
+    basis = BSplineBasis(domain, size, degree)
+    rng = np.random.default_rng(size + 10 * degree)
+    point_sets = {
+        "grid": np.linspace(domain.lo, domain.hi, 101),
+        "random": rng.uniform(domain.lo, domain.hi, 2000),
+        "gauss": _gauss_nodes((degree, 3), basis.breakpoints)[0],
+        "knots": basis.knots.copy(),
+        "ends": np.array([domain.lo, domain.hi]),
+    }
+    for name, t in point_sets.items():
+        assert np.array_equal(eval_basis_matrix(basis, t), _scipy_design(basis, t).toarray()), name
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=["unit", "wide"])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_integrals_and_grams_are_bitwise_scipy(domain, degree):
+    subs = [domain, Domain(domain.lo + 0.13 * domain.width, domain.lo + 0.71 * domain.width)]
+    for size in (degree + 1, 17, 53):
+        basis = BSplineBasis(domain, size, degree)
+        for sub in subs:
+            assert np.array_equal(integrate_basis(basis, sub), _scipy_integrals(basis, sub))
+            for col_degree, col_size in ((3, 53), (2, 15), (0, 4), (degree, size)):
+                col = BSplineBasis(domain, col_size, col_degree)
+                got = cross_gram(basis, col, sub)
+                assert np.array_equal(got, _scipy_gram(basis, col, sub))
+                # scipy's dense copy of the sparse product is Fortran-ordered, and a
+                # batched product with the Gram (functional_scores) sums in the order
+                # of its layout: a C-ordered Gram moves the scores in their last bits
+                assert got.flags.f_contiguous

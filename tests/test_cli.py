@@ -6,18 +6,26 @@ the full simulate -> fit -> summarize -> evaluate chain on a tiny
 problem, and replicate-study resume and worker-pool behavior.
 """
 
+import hashlib
 import json
 import logging
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 
 import numpy as np
 import pytest
 
+import sofreg
 from sofreg import cli
 from sofreg.cli import main, read_table
 from sofreg.dhs import DhsConfig
-from sofreg.gibbs import FitConfig
+from sofreg.funcdata import CurveSet, read_curves, read_scalars, write_curves, write_scalars
+from sofreg.gibbs import FitConfig, load_curves, load_draws
 from sofreg.methods import MethodSettings
 from sofreg.simulate import GpSettings, LocallyConstantTruth, SimulationDesign
 
@@ -186,7 +194,6 @@ def pipeline_dirs(tmp_path_factory):
     summ_cfg = write_config(
         root / "summ.yaml",
         {
-            "basis": {"curve_size": 8},
             "grid_points": 41,
             "pred_draws": 60,
             "partition_cells": 10,
@@ -216,10 +223,13 @@ def pipeline_dirs(tmp_path_factory):
 
 
 def test_fit_writes_archive_and_snapshot(pipeline_dirs):
-    _, _, fit_dir, _ = pipeline_dirs
-    assert (fit_dir / "archive" / "manifest.yaml").exists()
+    _, sim, fit_dir, _ = pipeline_dirs
+    manifest = yaml.safe_load((fit_dir / "archive" / "manifest.yaml").read_text())
+    assert manifest["format"] == "sofreg-draws-v2"
     report = json.loads((fit_dir / "fit_report.json").read_text())  # beside the archive
     assert report["subjects"] == 14 and report["grids"] == 1
+    curves_sha256 = hashlib.sha256((sim / "curves_rep000.csv").read_bytes()).hexdigest()
+    assert report["curves_sha256"] == curves_sha256 == manifest["curves"]["sha256"]
     assert set(report["seconds"]) == {"read", "project", "sample", "save"}
     assert all(v >= 0.0 for v in report["seconds"].values())
     assert report["peak_rss_mb"] > 0.0
@@ -320,7 +330,7 @@ def test_summarize_writes_path_report(pipeline_dirs):
     assert report["family_size"] == sum(int(r[header.index("acceptable")]) for r in rows)
     kkt = [float(r[header.index("kkt_residual")]) for r in rows]
     assert report["max_kkt_residual"] == max(kkt)
-    stages = {"read", "load", "project", "summarize_coefficient", "analyze"}
+    stages = {"load", "verify", "design", "summarize_coefficient", "analyze"}
     assert set(report["seconds"]) == stages
     assert all(v >= 0.0 for v in report["seconds"].values())
     assert report["peak_rss_mb"] > 0.0
@@ -354,7 +364,7 @@ def _summarize_cells(sim, fit_dir, tmp_path, cells):
     out = tmp_path / f"summ{cells}"
     cfg = write_config(
         tmp_path / f"summ{cells}.yaml",
-        {"basis": {"curve_size": 8}, "grid_points": 41, "pred_draws": 60, "partition_cells": cells},
+        {"grid_points": 41, "pred_draws": 60, "partition_cells": cells},
     )
     argv = ["summarize", "--config", cfg, "--archive", str(fit_dir / "archive")]
     argv += ["--curves", str(sim / "curves_rep000.csv"), "--scalars", str(sim / "scalars_rep000.csv")]
@@ -387,6 +397,147 @@ def test_summarize_warns_on_inexact_rank_deficient_path(pipeline_dirs, tmp_path,
     assert worst > 1e-8
     assert "rank 8 below its 30 cells" in caplog.text
     assert f"residual is {worst:.3g}" in caplog.text
+
+
+def _summarize_argv(root, sim, fit_dir, out, curves=None):
+    argv = ["summarize", "--config", str(root / "summ.yaml"), "--archive", str(fit_dir / "archive")]
+    argv += ["--curves", str(curves or sim / "curves_rep000.csv")]
+    argv += ["--scalars", str(sim / "scalars_rep000.csv"), "--seed", "7", "--out-dir", str(out)]
+    return argv
+
+
+def test_summarize_uses_the_archived_bases(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    # summarize once re-projected the curves on its own default bases (size 53,
+    # degree 3) whatever bases the fit used; now it takes the fit's
+    root, sim, _, _ = pipeline_dirs
+    fit_dir = tmp_path / "fit"
+    fit_cfg = write_config(
+        tmp_path / "fit.yaml",
+        {
+            "basis": {"curve_size": 20, "coef_size": 15, "degree": 2},
+            "sampler": {"prior": "pspline", "burnin": 40, "draws": 40},
+        },
+    )
+    argv = ["fit", "--config", fit_cfg, "--curves", str(sim / "curves_rep000.csv")]
+    argv += ["--scalars", str(sim / "scalars_rep000.csv"), "--seed", "3", "--out-dir", str(fit_dir)]
+    assert run(argv) == 0
+    seen = {}
+    analyze = cli.analyze
+
+    def spy(draws, design, coef_curves, *args, **kwargs):
+        seen.update(design=design, coef_curves=coef_curves)
+        return analyze(draws, design, coef_curves, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", spy)
+    assert run(_summarize_argv(root, sim, fit_dir, tmp_path / "summ")) == 0
+    coef_basis = seen["design"].basis_b
+    assert (coef_basis.size, coef_basis.degree) == (15, 2)
+    assert coef_basis == load_draws(fit_dir / "archive").basis
+    curve_bases = {(g.basis.size, g.basis.degree) for g in seen["coef_curves"].groups}
+    assert curve_bases == {(20, 2)}
+
+    # the archived bases are the only consistent ones: summarize has no basis section
+    argv = _summarize_argv(root, sim, fit_dir, tmp_path / "out")
+    argv[argv.index("--config") + 1] = write_config(tmp_path / "s.yaml", {"basis": {"curve_size": 20}})
+    assert run(argv) == cli.EXIT_CONFIG
+    assert "unknown config key: basis" in capsys.readouterr().err
+
+
+def test_summarize_rejects_a_different_curve_file(pipeline_dirs, tmp_path, capsys):
+    root, sim, fit_dir, _ = pipeline_dirs
+    original = sim / "curves_rep000.csv"
+    edited = tmp_path / "curves.csv"
+    edited.write_bytes(original.read_bytes().replace(b"\r\n", b"\n"))  # same numbers, other bytes
+    code = run(_summarize_argv(root, sim, fit_dir, tmp_path / "out", curves=edited))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert hashlib.sha256(edited.read_bytes()).hexdigest() in err
+    assert hashlib.sha256(original.read_bytes()).hexdigest() in err
+    assert not (tmp_path / "out" / "path_table.csv").exists()
+
+
+def test_v1_archive_loads_but_cannot_be_summarized(pipeline_dirs, tmp_path, capsys):
+    root, sim, fit_dir, _ = pipeline_dirs
+    v1 = tmp_path / "fit"
+    shutil.copytree(fit_dir / "archive", v1 / "archive")
+    manifest = yaml.safe_load((v1 / "archive" / "manifest.yaml").read_text())
+    for name in ["subject_ids.json", "grid.bin"] + [
+        f for g in manifest["curves"]["groups"] for f in (g["rows"], g["coeffs"])
+    ]:
+        (v1 / "archive" / name).unlink()
+    del manifest["curves"]
+    manifest["format"] = "sofreg-draws-v1"
+    (v1 / "archive" / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True))
+
+    old, new = load_draws(v1 / "archive"), load_draws(fit_dir / "archive")
+    assert np.array_equal(old.coeffs, new.coeffs) and old.basis == new.basis
+    assert run(_summarize_argv(root, sim, v1, tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sofreg-draws-v1" in err and "re-run `sofreg fit`" in err
+
+
+def test_subject_ids_with_commas_and_quotes_survive_fit_and_summarize(pipeline_dirs, tmp_path):
+    root, sim, _, _ = pipeline_dirs
+    curves = read_curves(sim / "curves_rep000.csv")
+    _, y, _ = read_scalars(sim / "scalars_rep000.csv")
+    ids = [f's{i}, "quoted" #{i}' if i % 2 else f"s{i},x" for i in range(len(curves))]
+    data = tmp_path / "data"
+    data.mkdir()
+    write_curves(data / "curves_rep000.csv", CurveSet(ids, curves.groups))
+    write_scalars(data / "scalars_rep000.csv", ids, y)
+    fit_dir = tmp_path / "fit"
+    fit_cfg = write_config(
+        tmp_path / "fit.yaml",
+        {"basis": {"curve_size": 8, "coef_size": 8}, "sampler": {"prior": "pspline", "burnin": 20, "draws": 20}},
+    )
+    argv = ["fit", "--config", fit_cfg, "--curves", str(data / "curves_rep000.csv")]
+    argv += ["--scalars", str(data / "scalars_rep000.csv"), "--out-dir", str(fit_dir)]
+    assert run(argv) == 0
+    assert load_curves(fit_dir / "archive").coefs.ids == ids
+    assert run(_summarize_argv(root, data, fit_dir, tmp_path / "summ")) == 0
+
+
+# --- imports: scipy only where sampling runs ------------------------------------------
+
+
+def _scipy_modules_after(code: str) -> set[str]:
+    """The scipy modules a fresh interpreter has loaded after running ``code``."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    env = dict(os.environ, PYTHONPATH=str(Path(sofreg.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(out.stdout.strip().splitlines()[-1]))
+
+
+def _cli_call(argv: list[str]) -> str:
+    return f"from sofreg.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _scipy_modules_after("import sofreg.cli") == set()
+
+
+def test_summarize_and_evaluate_load_no_scipy(pipeline_dirs, tmp_path):
+    root, sim, fit_dir, summ = pipeline_dirs
+    assert _scipy_modules_after(_cli_call(_summarize_argv(root, sim, fit_dir, tmp_path / "s"))) == set()
+    argv = ["evaluate", "--beta-summary", str(summ / "beta_summary.csv")]
+    argv += ["--windows", str(summ / "windows.csv"), "--out-dir", str(tmp_path / "e")]
+    assert _scipy_modules_after(_cli_call(argv)) == set()
+
+
+def test_pspline_fit_loads_scipy_linalg_only(pipeline_dirs, tmp_path):
+    root, sim, _, _ = pipeline_dirs
+    fit_cfg = write_config(
+        tmp_path / "fit.yaml",
+        {"basis": {"curve_size": 8, "coef_size": 8}, "sampler": {"prior": "pspline", "burnin": 5, "draws": 5}},
+    )
+    argv = ["fit", "--config", fit_cfg, "--curves", str(sim / "curves_rep000.csv")]
+    argv += ["--scalars", str(sim / "scalars_rep000.csv"), "--out-dir", str(tmp_path / "f")]
+    loaded = _scipy_modules_after(_cli_call(argv))
+    assert "scipy.linalg" in loaded
+    for name in ("scipy.interpolate", "scipy.sparse", "scipy.optimize"):
+        assert name not in loaded
 
 
 def test_evaluate_scores_summary_against_truth(pipeline_dirs, tmp_path):

@@ -8,13 +8,14 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import polygamma, psi
+from scipy.special import ndtr, polygamma, psi
 
 from sofreg.dhs import (
     LOG_CHI2_MEAN,
     LOG_CHI2_PROB,
     LOG_CHI2_VAR,
     LOG_SQUARE_JITTER,
+    _PG_TAIL_MASS,
     _PG_TRUNC,
     DhsConfig,
     DhsState,
@@ -126,6 +127,11 @@ def test_pg_truncated_inverse_gaussian_proposal_matches_scipy(z):
         ig = stats.invgauss(mu=1.0 / z, scale=1.0)
         law = lambda q: ig.cdf(q) / ig.cdf(_PG_TRUNC)
     assert stats.kstest(draws, law).pvalue > 1e-3
+
+
+def test_pg_tail_mass_literal_is_the_normal_tail():
+    # a literal, so that importing the sampler does not import scipy.special
+    assert _PG_TAIL_MASS == float(ndtr(-1.0 / math.sqrt(_PG_TRUNC)))
 
 
 def test_config_requires_innovation_parameters_summing_to_one():

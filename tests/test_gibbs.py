@@ -12,13 +12,15 @@ from scipy import stats
 
 from sofreg.basis import BSplineBasis, Domain, second_difference_matrix
 from sofreg.dhs import DhsConfig
-from sofreg.funcdata import RegressionDesign
+from sofreg.funcdata import CurveObservation, RegressionDesign, fit_curves
 from sofreg.gibbs import (
+    ArchivedCurves,
     FitConfig,
     NumericalError,
     _GibbsCore,
     coefficient_draws_on_grid,
     fit,
+    load_curves,
     load_draws,
     prior_parameter_draws,
     sample_gaussian_by_precision,
@@ -437,6 +439,41 @@ def test_archive_round_trip(tmp_path):
     assert back.seed == 9
     assert np.array_equal(back.block("g").coeffs, draws.block("g").coeffs)
     assert back.block("g").basis == draws.block("g").basis
+
+
+def test_archive_keeps_fitted_curves_with_their_layout(tmp_path):
+    # two grids on two domains give two coefficient groups; subject ids hold
+    # commas and quotes, which the JSON id file keeps
+    rng = np.random.default_rng(4)
+    grids = [np.linspace(0.0, 1.0, 12), np.linspace(0.2, 0.9, 9)]
+    records = [
+        CurveObservation(f'id {i}, "q"', grids[i % 2], rng.normal(size=grids[i % 2].size))
+        for i in range(7)
+    ]
+    coefs = fit_curves(records, BSplineBasis(Domain(0.0, 1.0), 6, 2))
+    grid = np.unique(np.concatenate(grids))
+    draws = fit(toy_design(seed=3), quick_config(), seed=2)
+    save_draws(draws, tmp_path / "arch", ArchivedCurves(coefs, grid, "ab" * 32))
+
+    back = load_curves(tmp_path / "arch")
+    assert back.sha256 == "ab" * 32
+    assert np.array_equal(back.grid, grid)
+    assert back.coefs.ids == coefs.ids
+    assert len(back.coefs.groups) == 2
+    for got, want in zip(back.coefs.groups, coefs.groups):
+        assert np.array_equal(got.rows, want.rows)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.coeffs.strides == want.coeffs.strides  # products with it sum as in the fit
+        assert got.basis == want.basis and got.domain == want.domain
+    assert np.array_equal(load_draws(tmp_path / "arch").coeffs, draws.coeffs)
+
+
+def test_archive_without_curves_loads_draws_but_no_curves(tmp_path):
+    draws = fit(toy_design(seed=5), quick_config(), seed=3)
+    save_draws(draws, tmp_path / "arch")
+    assert np.array_equal(load_draws(tmp_path / "arch").coeffs, draws.coeffs)
+    with pytest.raises(ValueError, match="keeps no fitted curves"):
+        load_curves(tmp_path / "arch")
 
 
 def test_archive_rejects_foreign_directory(tmp_path):
