@@ -32,18 +32,18 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from sofreg.basis import BSplineBasis, Domain
-from sofreg.decision import Partition, analyze, kkt_residual
+from sofreg.decision import PRED_DRAWS, Partition, analyze, kkt_residual
 from sofreg.dhs import DhsConfig
 from sofreg.funcdata import (
+    assemble_design,
     build_design,
-    fit_curves,
     read_curves,
     read_scalars,
     write_curves,
     write_scalars,
 )
 from sofreg.gibbs import (
+    GRID_POINTS,
     ArchivedCurves,
     FitConfig,
     NumericalError,
@@ -132,8 +132,8 @@ def _defaults(command: str) -> dict:
             "scalars": None,
             "epsilon": pipeline["epsilon"],
             "zero_tol": pipeline["zero_tol"],
-            "pred_draws": 1000,
-            "grid_points": 101,
+            "pred_draws": PRED_DRAWS,
+            "grid_points": GRID_POINTS,
             "partition_cells": pipeline["partition_cells"],
         }
     if command == "evaluate":
@@ -294,17 +294,6 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _assemble(curves, y, covariates, curve_size: int, coef_size: int, degree: int):
-    lo = min(g.domain.lo for g in curves.groups)
-    hi = max(g.domain.hi for g in curves.groups)
-    domain = Domain(lo, hi)
-    curve_basis = BSplineBasis(domain, curve_size, degree)
-    coef_basis = BSplineBasis(domain, coef_size, degree)
-    coef_curves = fit_curves(curves, curve_basis)
-    design = build_design(coef_curves, coef_basis, y, scalars=covariates)
-    return coef_curves, design
-
-
 @contextlib.contextmanager
 def _stage(seconds: dict, name: str):
     """Record the wall seconds of one stage of a command under ``name``."""
@@ -357,8 +346,9 @@ def cmd_fit(resolved: dict) -> int:
     out_dir = Path(resolved["out_dir"])
     basis_cfg = resolved["basis"]
     with _stage(seconds, "project"):
-        coefs, design = _assemble(
-            curves, y, covariates, basis_cfg["curve_size"], basis_cfg["coef_size"], basis_cfg["degree"]
+        coefs, design = assemble_design(
+            curves, y, basis_cfg["curve_size"], basis_cfg["coef_size"], basis_cfg["degree"],
+            scalars=covariates,
         )
     grid = np.unique(np.concatenate([g.t for g in curves.groups]))
     sampler = dict(resolved["sampler"])

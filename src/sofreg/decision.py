@@ -19,14 +19,12 @@ import numpy as np
 
 from sofreg.basis import Domain, integrate_basis
 from sofreg.funcdata import CoefCurve, CoefSet, RegressionDesign
-from sofreg.gibbs import (
-    NumericalError,
-    PosteriorDraws,
-    block_fit_draws,
-    subsample_indices,
-)
+from sofreg.gibbs import NumericalError, PosteriorDraws, subsample_indices
 
 log = logging.getLogger(__name__)
+
+EPSILON = 0.10  # default acceptable-family level
+PRED_DRAWS = 1000  # default number of posterior draws that price the path
 
 
 # --- partitions and aggregation ------------------------------------------------
@@ -374,6 +372,14 @@ def _percent_increase(gaps, centers, sd, noise, rest, n: int) -> np.ndarray:
     return 100.0 * excess / ref[None, :]
 
 
+def _mean_block_fit(draws: PosteriorDraws, design: RegressionDesign) -> np.ndarray | float:
+    """Summed adaptive-block fit at the posterior mean block coefficients; 0 without blocks."""
+    return sum(
+        dblk.design @ blk.coeffs.mean(axis=0)
+        for blk in draws.blocks for dblk in design.adaptive_blocks if dblk.name == blk.name
+    )
+
+
 def evaluate_path(
     path: SolutionPath,
     y: np.ndarray,
@@ -381,17 +387,16 @@ def evaluate_path(
     design: RegressionDesign,
     agg: AggregatedDesign,
     rng: np.random.Generator,
-    pred_draws: int | None = 1000,
+    pred_draws: int | None = PRED_DRAWS,
     max_entries: int = 100,
-    block_fit: np.ndarray | None = None,
 ) -> PathDiagnostics:
     """Price every (subsampled) knot by observed and predictive squared loss.
 
     Entry i's empirical loss is ``||adj - A delta_i||^2 / n``, with ``adj``
-    the response less the mean scalar fit and the mean adaptive-block fit
-    ``block_fit`` (from the mean block coefficients when not given); the
-    smallest is the optimum b.  One common set of predictive replicates
-    prices every entry, so percent differences compare draw by draw.
+    the response less the mean scalar fit and the adaptive-block fit at the
+    mean block coefficients; the smallest is the optimum b.  One common set
+    of predictive replicates prices every entry, so percent differences
+    compare draw by draw.
 
     Replicate s less its own scalar and block fits leaves the residual
     ``r0_s = X theta_s - A delta_b + sigma_s eps_s`` at the optimum (X the
@@ -411,12 +416,7 @@ def evaluate_path(
     deltas = path.deltas[keep]
     n = y.size
 
-    if block_fit is None:
-        block_fit = sum(
-            dblk.design @ blk.coeffs.mean(axis=0)
-            for blk in draws.blocks for dblk in design.adaptive_blocks if dblk.name == blk.name
-        )
-    adj = y - design.z @ draws.alpha.mean(axis=0) - block_fit
+    adj = y - design.z @ draws.alpha.mean(axis=0) - _mean_block_fit(draws, design)
     resid = adj[:, None] - agg.matrix @ deltas.T
     emp = np.einsum("ij,ij->j", resid, resid) / n
     del resid  # n x entries: freed before the SVD
@@ -453,7 +453,7 @@ class AcceptableFamily:
     epsilon: float
 
 
-def acceptable_family(diag: PathDiagnostics, epsilon: float = 0.10) -> AcceptableFamily:
+def acceptable_family(diag: PathDiagnostics, epsilon: float = EPSILON) -> AcceptableFamily:
     """Entries whose lower predictive interval for the percent increase reaches zero.
 
     Membership: the epsilon-quantile (as an order statistic) of the percent
@@ -626,9 +626,9 @@ def analyze(
     partition: Partition,
     y: np.ndarray,
     rng: np.random.Generator,
-    epsilon: float = 0.10,
+    epsilon: float = EPSILON,
     zero_tol: float = 0.0,
-    pred_draws: int | None = 1000,
+    pred_draws: int | None = PRED_DRAWS,
 ) -> DecisionSummary:
     """Fit-to-the-fit pipeline: aggregate, trace the path, price it, summarize.
 
@@ -638,14 +638,9 @@ def analyze(
     """
     agg = aggregate(curves, partition)
     alpha_hat = draws.alpha.mean(axis=0)
-    targets = draws.y_hat - design.z @ alpha_hat
-    blocks = block_fit_draws(draws, design, np.arange(draws.n_draws))
-    block_fit = None if blocks is None else blocks.mean(axis=0)
-    targets = targets if block_fit is None else targets - block_fit
+    targets = draws.y_hat - design.z @ alpha_hat - _mean_block_fit(draws, design)
     path = fused_lasso_path(targets, agg)
-    diag = evaluate_path(
-        path, y, draws, design, agg, rng, pred_draws=pred_draws, block_fit=block_fit
-    )
+    diag = evaluate_path(path, y, draws, design, agg, rng, pred_draws=pred_draws)
     family = acceptable_family(diag, epsilon)
     pick = family.idx_simplest
     estimate = build_estimate(partition, diag.deltas[pick], float(diag.lambdas[pick]))

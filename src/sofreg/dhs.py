@@ -167,15 +167,6 @@ def polya_gamma_mean(tilt: float) -> float:
     return math.tanh(tilt / 2.0) / (2.0 * tilt)
 
 
-# --- Z distribution ---------------------------------------------------------
-
-
-def sample_z_dist(a: float, b: float, rng: np.random.Generator, size=None) -> np.ndarray | float:
-    """Draw from the Z(a, b) distribution: the logit of a Beta(a, b)."""
-    x = rng.beta(a, b, size=size)
-    return np.log(x) - np.log1p(-x)
-
-
 # --- state and configuration ------------------------------------------------
 
 
@@ -210,7 +201,6 @@ class DhsState:
     h: np.ndarray
     mu_h: float
     phi: float
-    lambda0: float
     indicators: np.ndarray
     xi: np.ndarray
     xi_mu: float
@@ -234,7 +224,6 @@ def init_dhs_state(d2: np.ndarray) -> DhsState:
         h=np.full(m, level),
         mu_h=level,
         phi=0.9,
-        lambda0=1.0,
         indicators=np.full(m, int(np.argmax(LOG_CHI2_PROB))),
         xi=np.full(m, polya_gamma_mean(0.0)),
         xi_mu=polya_gamma_mean(0.0),
@@ -558,20 +547,3 @@ def dhs_step(d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.
         state.mu_h = sample_ar_level_collapsed(state, config, rng)
         update_innovation_auxiliaries(state, rng)
         state.phi = sample_ar_persistence(state, config, rng)
-
-
-def prior_step(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> None:
-    """Redraw the path and its auxiliaries from the prior given (mu_h, phi), in place.
-
-    The path is forward-simulated as an AR(1) with Z(a, b) innovations;
-    the innovation and level Polya-Gamma variables are then drawn given
-    the new path.  Used by the prior simulators that validate the sampler.
-    """
-    m = state.size
-    eta = sample_z_dist(config.a, config.b, rng, size=m)
-    h = np.empty(m)
-    h[0] = state.mu_h + eta[0]
-    for k in range(1, m):
-        h[k] = state.mu_h + state.phi * (h[k - 1] - state.mu_h) + eta[k]
-    state.h = h
-    update_innovation_auxiliaries(state, rng)

@@ -470,6 +470,27 @@ def build_design(
     )
 
 
+def assemble_design(
+    curves: CurveSet,
+    y: Sequence[float],
+    curve_size: int,
+    coef_size: int,
+    degree: int,
+    scalars: Mapping[str, Sequence] | None = None,
+) -> tuple[CoefSet, RegressionDesign]:
+    """Curves to design in one step: the curves' spline coefficients, and the design.
+
+    Both bases span the curves' domain, the smallest interval that holds
+    every sampling grid: the curves are projected on the ``curve_size``
+    basis and the coefficient function is expanded in the ``coef_size`` one.
+    """
+    domain = Domain(
+        min(g.domain.lo for g in curves.groups), max(g.domain.hi for g in curves.groups)
+    )
+    coefs = fit_curves(curves, BSplineBasis(domain, curve_size, degree))
+    return coefs, build_design(coefs, BSplineBasis(domain, coef_size, degree), y, scalars=scalars)
+
+
 # --- delimited-text interchange -------------------------------------------
 
 _CHUNK_ROWS = 16384  # curve-file rows parsed per np.loadtxt call; bounds the reader's transients

@@ -13,9 +13,8 @@ alternates exact conditional draws; no tuning is required.  Per-iteration
 cost is linear in the number of subjects and cubic only in the (small)
 number of basis coefficients.
 
-Besides ``fit``, this module provides the prior and successive-conditional
-simulators used to validate the sampler against itself, posterior curve
-summaries, the adaptive-block fits, and a flat-file draw archive.
+Besides ``fit``, this module provides posterior curve summaries and a
+flat-file draw archive.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -36,17 +34,14 @@ from sofreg.dhs import (
     DhsState,
     dhs_step,
     init_dhs_state,
-    polya_gamma_mean,
-    prior_step,
     sample_boundary_scale,
-    sample_mixture_indicators,
-    sample_z_dist,
 )
 from sofreg.funcdata import CoefGroup, CoefSet, RegressionDesign
 
 log = logging.getLogger(__name__)
 
 PRIOR_KINDS = ("dhs", "pspline", "local-pspline")
+GRID_POINTS = 101  # default size of the grid a coefficient function is summarized on
 
 
 class NumericalError(RuntimeError):
@@ -117,12 +112,6 @@ class PosteriorDraws:
     def n_draws(self) -> int:
         return self.coeffs.shape[0]
 
-    def block(self, name: str) -> BlockDraws:
-        for blk in self.blocks:
-            if blk.name == name:
-                return blk
-        raise KeyError(f"no adaptive block named {name!r}")
-
 
 def stable_hash(payload: dict) -> str:
     """Short deterministic hash of a JSON-serializable dictionary."""
@@ -190,7 +179,8 @@ class _GibbsCore:
     and any adaptive covariate blocks carry a spline shrinkage prior, the
     scalar block carries independent normal priors (flat on unpenalized
     columns).  Conditional linear terms use cached cross-products, so only
-    fitted-vector updates and the residual sum touch all n subjects.
+    the fitted values behind the noise variance's residual touch all n
+    subjects, once per sweep.
     """
 
     def __init__(self, design: RegressionDesign, config: FitConfig):
@@ -209,7 +199,6 @@ class _GibbsCore:
                         for name in self.spline_names}
 
         self.theta = {name: np.zeros(self.mats[name].shape[1]) for name in self.names}
-        self.fitted = {name: np.zeros(self.n) for name in self.names}
         self.scales = {name: _SplineScales() for name in self.spline_names}
         self.alpha_scales2 = np.where(design.penalized, 1.0, np.inf)
         self.sigma2 = 1.0
@@ -223,9 +212,6 @@ class _GibbsCore:
         for name in self.names:
             self.ydot[name] = self.mats[name].T @ y
 
-    def _refresh_fitted(self, name: str) -> None:
-        self.fitted[name] = self.mats[name] @ self.theta[name]
-
     def init_from_data(self) -> None:
         """Deterministic warm start: ridge fits and method-of-moments scales."""
         cfg = self.config
@@ -233,7 +219,6 @@ class _GibbsCore:
             mat, dop = self.mats[name], self.diff_op[name]
             ridge = self.gram[name][name] + dop.T @ dop + 1e-10 * np.eye(dop.shape[0])
             self.theta[name] = np.linalg.solve(ridge, self.ydot[name])
-            self._refresh_fitted(name)
             d2 = (dop @ self.theta[name])[1:-1]
             scales = self.scales[name]
             scales.lambda0 = 1.0
@@ -244,76 +229,9 @@ class _GibbsCore:
                 scales.smooth_var = level
                 scales.local_var = np.full(d2.size, level)
         self.theta["alpha"] = np.zeros(self.mats["alpha"].shape[1])
-        self._refresh_fitted("alpha")
         var_y = float(self.y.var(ddof=1)) if self.n > 1 else 1.0
         self.sigma2 = var_y if var_y > 0 else 1.0
         self.alpha_scales2 = np.where(self.design.penalized, 1.0, np.inf)
-
-    def prior_draw(self, rng: np.random.Generator) -> None:
-        """Exact draw of every parameter from its prior.
-
-        Only possible when all scalar columns carry proper priors; the
-        flat intercept prior has no generative counterpart.
-        """
-        cfg = self.config
-        for name in self.spline_names:
-            scales = self.scales[name]
-            m = self.diff_op[name].shape[0] - 2
-            scales.lambda0 = 1.0 / math.sqrt(rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate))
-            if cfg.prior == "dhs":
-                scales.dhs_state = DhsState(
-                    h=np.zeros(m),
-                    mu_h=float(sample_z_dist(0.5, 0.5, rng)),
-                    phi=2.0 * rng.beta(cfg.dhs.phi_a, cfg.dhs.phi_b) - 1.0,
-                    lambda0=1.0,
-                    indicators=np.zeros(m, dtype=int),
-                    xi=np.full(m, polya_gamma_mean(0.0)),
-                    xi_mu=polya_gamma_mean(0.0),
-                )
-            elif cfg.prior == "pspline":
-                scales.smooth_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate)
-            else:
-                scales.local_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate, size=m)
-        p = self.mats["alpha"].shape[1]
-        self.alpha_scales2 = 1.0 / rng.gamma(cfg.var_shape, 1.0 / cfg.var_rate, size=p)
-        self.sigma2 = 1.0 / rng.gamma(cfg.var_shape, 1.0 / cfg.var_rate)
-        self.refresh_latents_from_prior(rng)
-
-    def simulate_y(self, rng: np.random.Generator) -> np.ndarray:
-        """Generate a response vector from the current parameters."""
-        mean = sum(self.fitted.values())
-        return mean + math.sqrt(self.sigma2) * rng.standard_normal(self.n)
-
-    def refresh_latents_from_prior(self, rng: np.random.Generator) -> None:
-        """Redraw volatilities, auxiliaries and coefficients given the hyperparameters.
-
-        Together with a subsequent response simulation this is an exact
-        conditional draw of (path, auxiliaries, coefficients, response)
-        given (level, persistence, scales, noise variance), valid as an
-        extra block in the self-consistency chain.  Without it those
-        latents anchor one another through the regenerated response and
-        relax only by diffusion, collapsing the chain's effective sample
-        size; the persistent hyperparameters are exactly the quantities
-        the check records.
-        """
-        cfg = self.config
-        if not np.all(self.design.penalized):
-            raise ValueError("prior simulation requires all scalar columns penalized")
-        for name in self.spline_names:
-            scales = self.scales[name]
-            dop = self.diff_op[name]
-            if cfg.prior == "dhs":
-                prior_step(scales.dhs_state, cfg.dhs, rng)
-            lam = scales.variance_vector(cfg.prior, dop.shape[0])
-            self.theta[name] = np.linalg.solve(dop, np.sqrt(lam) * rng.standard_normal(lam.size))
-            self._refresh_fitted(name)
-            if cfg.prior == "dhs":
-                d2 = (dop @ self.theta[name])[1:-1]
-                state = scales.dhs_state
-                state.indicators = sample_mixture_indicators(d2, state.h, rng)
-        p = self.mats["alpha"].shape[1]
-        self.theta["alpha"] = np.sqrt(self.alpha_scales2) * rng.standard_normal(p)
-        self._refresh_fitted("alpha")
 
     # -- conditional draws --
 
@@ -334,7 +252,6 @@ class _GibbsCore:
         lin /= self.sigma2
         prec = self.gram[name][name] / self.sigma2 + self._prior_precision(name)
         self.theta[name] = sample_gaussian_by_precision(prec, lin, rng)
-        self._refresh_fitted(name)
 
     def _update_spline_scales(self, name: str, rng: np.random.Generator) -> None:
         cfg = self.config
@@ -353,8 +270,11 @@ class _GibbsCore:
             theta[0], theta[-1], rng, shape=cfg.scale_shape, rate=cfg.scale_rate
         )
 
-    def sweep(self, rng: np.random.Generator) -> None:
-        """One full scan: coefficient blocks, shrinkage scales, variances."""
+    def sweep(self, rng: np.random.Generator) -> np.ndarray:
+        """One full scan: coefficient blocks, shrinkage scales, variances.
+
+        Returns the fitted values at the scan's final coefficients.
+        """
         cfg = self.config
         for name in self.names:
             self._draw_block(name, rng)
@@ -365,9 +285,11 @@ class _GibbsCore:
         if pen.any():
             rates = cfg.var_rate + 0.5 * alpha[pen] ** 2
             self.alpha_scales2[pen] = 1.0 / rng.gamma(cfg.var_shape + 0.5, 1.0 / rates)
-        resid = self.y - sum(self.fitted.values())
+        fitted = sum(self.mats[name] @ self.theta[name] for name in self.names)
+        resid = self.y - fitted
         rate = cfg.var_rate + 0.5 * float(resid @ resid)
         self.sigma2 = 1.0 / rng.gamma(cfg.var_shape + 0.5 * self.n, 1.0 / rate)
+        return fitted
 
     def check_finite(self, iteration: int) -> None:
         ok = np.isfinite(self.sigma2) and all(
@@ -415,7 +337,7 @@ def fit(
 
     s = 0
     for it in range(config.burnin + config.draws):
-        core.sweep(rng)
+        fitted = core.sweep(rng)
         core.check_finite(it)
         post = it - config.burnin
         if post < 0 or post % config.thin:
@@ -438,7 +360,7 @@ def fit(
             local_var[s] = beta_scales.local_var
         for name in block_coeffs:
             block_coeffs[name][s] = core.theta[name]
-        y_hat += sum(core.fitted.values())
+        y_hat += fitted
         s += 1
     y_hat /= kept
 
@@ -468,65 +390,6 @@ def fit(
     )
 
 
-# --- sampler self-validation harnesses ---------------------------------------
-
-
-def prior_parameter_draws(
-    design: RegressionDesign, config: FitConfig, n_draws: int, rng: np.random.Generator
-) -> dict[str, np.ndarray]:
-    """Independent prior draws of the parameters tracked by the validation check."""
-    core = _GibbsCore(design, config)
-    out = {"sigma2": np.empty(n_draws)}
-    if config.prior == "dhs":
-        out["phi"] = np.empty(n_draws)
-        out["mu_h"] = np.empty(n_draws)
-    for i in range(n_draws):
-        core.prior_draw(rng)
-        out["sigma2"][i] = core.sigma2
-        if config.prior == "dhs":
-            out["phi"][i] = core.scales["beta"].dhs_state.phi
-            out["mu_h"][i] = core.scales["beta"].dhs_state.mu_h
-    return out
-
-
-def successive_conditional_draws(
-    design: RegressionDesign,
-    config: FitConfig,
-    n_sweeps: int,
-    rng: np.random.Generator,
-    thin: int = 1,
-) -> dict[str, np.ndarray]:
-    """Chain that alternates data simulation with one posterior sweep.
-
-    If the sampler's conditionals are mutually consistent, the recorded
-    parameters are marginally distributed according to the prior, which
-    ``prior_parameter_draws`` samples directly; comparing the two exposes
-    coding errors in any conditional.
-    """
-    core = _GibbsCore(design, config)
-    core.prior_draw(rng)
-    kept = n_sweeps // thin
-    out = {"sigma2": np.empty(kept)}
-    if config.prior == "dhs":
-        out["phi"] = np.empty(kept)
-        out["mu_h"] = np.empty(kept)
-    s = 0
-    for it in range(n_sweeps):
-        core.set_y(core.simulate_y(rng))
-        core.sweep(rng)
-        core.check_finite(it)
-        if it % thin == 0 and s < kept:
-            out["sigma2"][s] = core.sigma2
-            if config.prior == "dhs":
-                out["phi"][s] = core.scales["beta"].dhs_state.phi
-                out["mu_h"][s] = core.scales["beta"].dhs_state.mu_h
-            s += 1
-        # decouples the latents from the simulated response, which
-        # otherwise anchor each other and stall the chain
-        core.refresh_latents_from_prior(rng)
-    return out
-
-
 # --- posterior summaries ------------------------------------------------------
 
 
@@ -542,30 +405,19 @@ class CurveSummary:
     upper95: np.ndarray
 
 
-def coefficient_draws_on_grid(
-    draws: PosteriorDraws, grid: np.ndarray, block: str | None = None
-) -> np.ndarray:
+def coefficient_draws_on_grid(draws: PosteriorDraws, grid: np.ndarray) -> np.ndarray:
     """(draws, grid) matrix of coefficient-function values."""
-    if block is None:
-        basis, coeffs = draws.basis, draws.coeffs
-    else:
-        blk = draws.block(block)
-        basis, coeffs = blk.basis, blk.coeffs
-    return coeffs @ eval_basis_matrix(basis, np.asarray(grid, dtype=float)).T
+    return draws.coeffs @ eval_basis_matrix(draws.basis, np.asarray(grid, dtype=float)).T
 
 
 def summarize_coefficient(
-    draws: PosteriorDraws,
-    grid: np.ndarray | None = None,
-    block: str | None = None,
-    points: int = 101,
+    draws: PosteriorDraws, grid: np.ndarray | None = None, points: int = GRID_POINTS
 ) -> CurveSummary:
     """Posterior mean and central 50%/95% bands of a coefficient function."""
-    basis = draws.basis if block is None else draws.block(block).basis
     if grid is None:
-        grid = np.linspace(basis.domain.lo, basis.domain.hi, points)
+        grid = np.linspace(draws.basis.domain.lo, draws.basis.domain.hi, points)
     grid = np.asarray(grid, dtype=float)
-    vals = coefficient_draws_on_grid(draws, grid, block=block)
+    vals = coefficient_draws_on_grid(draws, grid)
     lo95, lo50, hi50, hi95 = np.quantile(vals, [0.025, 0.25, 0.75, 0.975], axis=0)
     return CurveSummary(grid, vals.mean(axis=0), lo50, hi50, lo95, hi95)
 
@@ -575,19 +427,6 @@ def subsample_indices(n_draws: int, size: int | None) -> np.ndarray:
     if size is None or size >= n_draws:
         return np.arange(n_draws)
     return np.unique(np.linspace(0, n_draws - 1, size).round().astype(int))
-
-
-def block_fit_draws(
-    draws: PosteriorDraws, design: RegressionDesign, idx: np.ndarray
-) -> np.ndarray | None:
-    """Summed fit of the adaptive covariate blocks at draws ``idx``; None without blocks."""
-    parts = None
-    for blk in draws.blocks:
-        for dblk in design.adaptive_blocks:
-            if dblk.name == blk.name:
-                term = blk.coeffs[idx] @ dblk.design.T
-                parts = term if parts is None else parts + term
-    return parts
 
 
 # --- flat-file draw archive ----------------------------------------------------

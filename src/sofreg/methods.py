@@ -14,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sofreg.basis import BSplineBasis
 from sofreg.decision import (
+    EPSILON,
     Partition,
     analyze,
     ci_selection,
     selection_on_grid,
 )
 from sofreg.dhs import DhsConfig
-from sofreg.funcdata import CurveSet, build_design, fit_curves
+from sofreg.funcdata import assemble_design
 from sofreg.gibbs import FitConfig, fit, summarize_coefficient
 from sofreg.simulate import MethodFn, MethodResult, SimulationDesign
 
@@ -42,19 +42,10 @@ class MethodSettings:
     draws: int = 2000
     thin: int = 1
     refresh: int = 1
-    epsilon: float = 0.10
+    epsilon: float = EPSILON
     zero_tol: float = 0.0
     pred_draws: int | None = 500
     partition_cells: int | None = None  # None: one cell per grid interval
-
-
-def assemble_design(
-    curves: CurveSet, y: np.ndarray, design: SimulationDesign, s: MethodSettings
-):
-    curve_basis = BSplineBasis(design.domain, s.curve_basis_size, s.degree)
-    coef_basis = BSplineBasis(design.domain, s.coef_basis_size, s.degree)
-    coef_curves = fit_curves(curves, curve_basis)
-    return coef_curves, build_design(coef_curves, coef_basis, y)
 
 
 def default_partition(design: SimulationDesign, s: MethodSettings) -> Partition:
@@ -63,8 +54,10 @@ def default_partition(design: SimulationDesign, s: MethodSettings) -> Partition:
     return Partition.regular(design.domain, s.partition_cells)
 
 
-def _fit_once(prior, curves, y, design, rng, s: MethodSettings):
-    coef_curves, reg_design = assemble_design(curves, y, design, s)
+def _fit_once(prior, curves, y, rng, s: MethodSettings):
+    coef_curves, reg_design = assemble_design(
+        curves, y, s.curve_basis_size, s.coef_basis_size, s.degree
+    )
     config = FitConfig(
         prior=prior,
         burnin=s.burnin,
@@ -82,7 +75,7 @@ def band_method(prior: str, s: MethodSettings) -> MethodFn:
         raise ValueError(f"unknown prior {prior!r}; expected one of {PRIOR_METHODS}")
 
     def run(curves, y, design, rng):
-        _, _, draws = _fit_once(prior, curves, y, design, rng, s)
+        _, _, draws = _fit_once(prior, curves, y, rng, s)
         summary = summarize_coefficient(draws, grid=design.grid)
         return MethodResult(
             beta_hat=summary.mean,
@@ -104,7 +97,7 @@ def decision_method(s: MethodSettings) -> MethodFn:
     """
 
     def run(curves, y, design, rng):
-        coef_curves, reg_design, draws = _fit_once("dhs", curves, y, design, rng, s)
+        coef_curves, reg_design, draws = _fit_once("dhs", curves, y, rng, s)
         summary = summarize_coefficient(draws, grid=design.grid)
         part = default_partition(design, s)
         decision = analyze(

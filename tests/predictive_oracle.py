@@ -7,7 +7,18 @@ replicates are the reference it is checked against.
 
 import numpy as np
 
-from sofreg.gibbs import block_fit_draws, subsample_indices
+from sofreg.gibbs import subsample_indices
+
+
+def block_fit_draws(draws, design, idx):
+    """Summed fit of the adaptive covariate blocks at draws ``idx``; None without blocks."""
+    parts = None
+    for blk in draws.blocks:
+        for dblk in design.adaptive_blocks:
+            if dblk.name == blk.name:
+                term = blk.coeffs[idx] @ dblk.design.T
+                parts = term if parts is None else parts + term
+    return parts
 
 
 def predictive_means(draws, design, idx):

@@ -52,8 +52,6 @@ from sofreg.funcdata import (
 from sofreg.gibbs import (
     FitConfig,
     _GibbsCore,
-    prior_parameter_draws,
-    successive_conditional_draws,
     summarize_coefficient,
 )
 from sofreg.methods import MethodSettings, _fit_once, build_methods, default_partition
@@ -67,6 +65,7 @@ from sofreg.simulate import (
     replicate_data,
     run_replicate,
 )
+from geweke import prior_parameter_draws, successive_conditional_draws
 from test_decision import prox_gradient_k3, random_problem
 
 
@@ -198,7 +197,6 @@ def _log_vol_dense_oracle() -> None:
         h=rng.normal(size=m),
         mu_h=-0.7,
         phi=0.55,
-        lambda0=1.0,
         indicators=rng.integers(0, 10, size=m),
         xi=rng.gamma(2.0, 0.3, size=m) + 0.05,
         xi_mu=0.3,
@@ -356,7 +354,7 @@ def test_criterion_04_window_selection_ordering():
         curves, y, _sigma = replicate_data(design, rep)
         rng = method_rng(design, rep, "dhs-da")
         # one shrinkage fit per replicate; both selectors read the same posterior
-        coef_curves, reg_design, draws = _fit_once("dhs", curves, y, design, rng, settings)
+        coef_curves, reg_design, draws = _fit_once("dhs", curves, y, rng, settings)
         summary = summarize_coefficient(draws, grid=grid)
         ci_sel = ci_selection(summary.lower95, summary.upper95)
         decision = analyze(
@@ -444,6 +442,7 @@ def test_criterion_05_fused_lasso_path_correctness():
 # --- criterion 6: per-iteration cost scales linearly in n -----------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_linear_scaling_in_n():
     # Times each sweep less its shrinkage-scale update: that update sees
     # only the K - 2 second differences, so its cost cannot depend on n,
@@ -454,7 +453,7 @@ def test_criterion_06_linear_scaling_in_n():
     sizes = (500, 5000, 50000)
     settings = MethodSettings(curve_basis_size=53, coef_basis_size=53)
     cfg = FitConfig(prior="dhs", burnin=900, draws=100, dhs=DhsConfig(refresh=1))
-    from sofreg.methods import assemble_design
+    from sofreg.funcdata import assemble_design
 
     designs = []
     for n in sizes:
@@ -468,7 +467,11 @@ def test_criterion_06_linear_scaling_in_n():
             seed=17,
         )
         curves, y, _sigma = replicate_data(design, 0)
-        designs.append(assemble_design(curves, y, design, settings)[1])
+        designs.append(
+            assemble_design(
+                curves, y, settings.curve_basis_size, settings.coef_basis_size, settings.degree
+            )[1]
+        )
 
     rounds = np.empty((3, len(sizes)))
     sweep_times = np.empty(cfg.burnin + cfg.draws)

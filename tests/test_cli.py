@@ -25,7 +25,7 @@ from sofreg import cli
 from sofreg.cli import main, read_table
 from sofreg.dhs import DhsConfig
 from sofreg.funcdata import CurveSet, read_curves, read_scalars, write_curves, write_scalars
-from sofreg.gibbs import FitConfig, load_curves, load_draws
+from sofreg.gibbs import FitConfig, load_curves, load_draws, stable_hash
 from sofreg.methods import MethodSettings
 from sofreg.simulate import GpSettings, LocallyConstantTruth, SimulationDesign
 
@@ -280,6 +280,21 @@ def test_resolved_defaults_rebuild_the_library_defaults():
     for truth in (resolved("simulate")["truth"], resolved("evaluate")["truth"]):
         as_step = cli._truth_from_cfg(truth | {"kind": "locally_constant"})
         assert as_step == step
+
+
+@pytest.mark.parametrize(
+    "command,digest",
+    [
+        ("simulate", "fb4e72b62aea"),
+        ("fit", "66cb73d50e50"),
+        ("summarize", "f67653ee636e"),
+        ("evaluate", "e87c0c329051"),
+        ("replicate", "fc5305e427da"),
+    ],
+)
+def test_default_config_hashes_are_pinned(command, digest):
+    # a default that moves changes every hash stamped on that command's outputs
+    assert stable_hash(cli._defaults(command)) == digest
 
 
 def test_summary_tables_are_stamped_and_shaped(pipeline_dirs):

@@ -35,7 +35,7 @@ from sofreg.decision import (
     PathDiagnostics,
     SolutionPath,
 )
-from sofreg import decision, gibbs
+from sofreg import decision
 from sofreg.funcdata import (
     CoefCurve,
     CurveObservation,
@@ -936,18 +936,16 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
     assert fam.idx_simplest == ref_fam.idx_simplest
 
 
-def test_analyze_computes_block_fits_once(monkeypatch):
+def test_analyze_memory_does_not_scale_with_draws_times_n():
+    # the block fits are taken at the mean block coefficients: fits per
+    # draw would hold a 300 x 2000 matrix per block, 4.8 MB each
     rng = np.random.default_rng(23)
-    curves, part, _, y, design, draws, _ = _fabricated_fit(rng, n=50, k_cells=9, n_blocks=2)
+    curves, part, _, y, design, draws, _ = _fabricated_fit(rng, n=2000, k_cells=9, n_blocks=2)
     assert len(design.adaptive_blocks) == 2
-    original, calls = gibbs.block_fit_draws, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    # wrap the function everywhere the pipeline looks it up
-    monkeypatch.setattr(gibbs, "block_fit_draws", counted)
-    monkeypatch.setattr(decision, "block_fit_draws", counted)
-    analyze(draws, design, curves, part, y, np.random.default_rng(4), pred_draws=30)
-    assert len(calls) == 1
+    tracemalloc.start()
+    try:
+        analyze(draws, design, curves, part, y, np.random.default_rng(4), pred_draws=30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"analyze peaked at {peak / 1e6:.1f} MB"

@@ -26,7 +26,6 @@ from sofreg.dhs import (
     dhs_step,
     init_dhs_state,
     polya_gamma_mean,
-    prior_step,
     sample_ar_level_collapsed,
     sample_ar_persistence,
     sample_boundary_scale,
@@ -34,9 +33,10 @@ from sofreg.dhs import (
     sample_log_vols_sitewise,
     sample_mixture_indicators,
     sample_polya_gamma_vec,
-    sample_z_dist,
     update_innovation_auxiliaries,
 )
+
+from geweke import prior_step, sample_z_dist
 
 
 def pg_gamma_sum_oracle(tilt: float, rng: np.random.Generator, n: int, terms: int = 2000):
@@ -202,7 +202,6 @@ def _random_state(m, seed, phi=0.6, mu_h=-1.0):
             h=rng.normal(size=m),
             mu_h=mu_h,
             phi=phi,
-            lambda0=1.0,
             indicators=rng.integers(0, 10, size=m),
             xi=rng.gamma(2.0, 0.3, size=m) + 0.05,
             xi_mu=0.3,
@@ -305,7 +304,7 @@ def test_level_slice_targets_exact_collapsed_conditional():
     rng = np.random.default_rng(34)
     h = np.array([0.3, -1.2, 0.8, 2.0, -0.5, 1.1])
     config = DhsConfig()
-    state = DhsState(h=h, mu_h=0.4, phi=0.7, lambda0=1.0,
+    state = DhsState(h=h, mu_h=0.4, phi=0.7,
                      indicators=np.zeros(6, dtype=int), xi=np.ones(6), xi_mu=1.0)
     grid = np.linspace(-30, 30, 120_001)
     logd = np.array([_level_log_density(g, h, 0.7, 0.5, 0.5) for g in grid])
@@ -326,7 +325,7 @@ def test_level_slice_escapes_unidentified_tail_state():
     config = DhsConfig()
     rng = np.random.default_rng(35)
     state = DhsState(h=np.array([0.3, -1.2, 0.8, 2.0, -0.5, 1.1]), mu_h=8.0,
-                     phi=0.999, lambda0=1.0, indicators=np.zeros(6, dtype=int),
+                     phi=0.999, indicators=np.zeros(6, dtype=int),
                      xi=np.ones(6), xi_mu=1.0)
     seq = np.empty(2000)
     for i in range(seq.size):
@@ -371,7 +370,7 @@ def test_sitewise_slice_invariant_law_matches_exact_density():
     dens = np.exp(logd - logd.max())
     cdf = np.cumsum(dens)
     cdf /= cdf[-1]
-    state = DhsState(h=np.zeros(1), mu_h=mu, phi=phi, lambda0=1.0,
+    state = DhsState(h=np.zeros(1), mu_h=mu, phi=phi,
                      indicators=np.zeros(1, dtype=int), xi=np.ones(1), xi_mu=1.0)
     draws = np.empty(30_000)
     for i in range(draws.size):
@@ -428,7 +427,7 @@ def test_parity_blocked_slice_matches_dense_joint_grid(d2):
     m = d2.size
     grid = np.linspace(-24.0, 16.0, 161)
     law = _dense_joint_site_law(d2, mu, phi, grid)
-    state = DhsState(h=np.zeros(m), mu_h=mu, phi=phi, lambda0=1.0,
+    state = DhsState(h=np.zeros(m), mu_h=mu, phi=phi,
                      indicators=np.zeros(m, dtype=int), xi=np.ones(m), xi_mu=1.0)
     rng = np.random.default_rng(100)
     draws = np.empty((12_000, m))
@@ -468,7 +467,7 @@ def test_sitewise_and_augmented_chains_share_invariant_law():
     mu, phi = 0.3, 0.6
 
     def run_chain(kind, n):
-        st = DhsState(h=np.zeros(5), mu_h=mu, phi=phi, lambda0=1.0,
+        st = DhsState(h=np.zeros(5), mu_h=mu, phi=phi,
                       indicators=np.zeros(5, dtype=int),
                       xi=np.full(5, polya_gamma_mean(0.0)), xi_mu=1.0)
         out = np.empty(n)
@@ -495,7 +494,6 @@ def test_ar_persistence_slice_targets_exact_conditional():
         h=0.3 + np.cumsum(rng.normal(size=m)) * 0.3,
         mu_h=0.3,
         phi=0.5,
-        lambda0=1.0,
         indicators=np.zeros(m, dtype=int),
         xi=rng.gamma(3.0, 0.2, size=m) + 0.1,
         xi_mu=0.3,
@@ -538,7 +536,7 @@ def test_init_state_levels_and_clamping():
     state = init_dhs_state(np.array([1e30, -1e30, 1e30]))
     assert np.all(state.h == 20.0)
     state = init_dhs_state(np.array([0.5, -0.2, 0.9, 0.0]))
-    assert state.phi == 0.9 and state.lambda0 == 1.0
+    assert state.phi == 0.9
     assert state.mu_h == state.h[0]
     assert np.all(np.isfinite(state.xi)) and state.xi_mu > 0
 

@@ -22,16 +22,15 @@ from sofreg.gibbs import (
     fit,
     load_curves,
     load_draws,
-    prior_parameter_draws,
     sample_gaussian_by_precision,
     save_draws,
     stable_hash,
     subsample_indices,
-    successive_conditional_draws,
     summarize_coefficient,
 )
 
-from predictive_oracle import predictive_draws
+from geweke import prior_draw, prior_parameter_draws, successive_conditional_draws
+from predictive_oracle import predictive_draws, predictive_means
 
 
 def toy_design(n=40, k=6, p=2, seed=0, intercept=True, adaptive=False):
@@ -131,7 +130,7 @@ def _prepared_core(adaptive=False):
 def test_functional_block_conditional_matches_dense_oracle():
     design, core = _prepared_core(adaptive=True)
     x = design.scores
-    others = core.fitted["alpha"] + core.fitted["g"]
+    others = design.z @ core.theta["alpha"] + design.adaptive_blocks[0].design @ core.theta["g"]
     dop = second_difference_matrix(design.basis_b.size)
     lam = core.scales["beta"].variance_vector("dhs", design.basis_b.size)
     prec = x.T @ x / core.sigma2 + dop.T @ np.diag(1.0 / lam) @ dop
@@ -143,7 +142,6 @@ def test_functional_block_conditional_matches_dense_oracle():
     chol = np.linalg.cholesky(prec)
     want = np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
     assert np.max(np.abs(core.theta["beta"] - want)) < 1e-8
-    assert np.max(np.abs(core.fitted["beta"] - x @ want)) < 1e-8
 
 
 def test_scalar_block_conditional_flat_intercept_and_oracle():
@@ -153,7 +151,7 @@ def test_scalar_block_conditional_flat_intercept_and_oracle():
         [1.0 / core.alpha_scales2[0], 1.0 / core.alpha_scales2[1], 0.0]
     )  # flat prior on the intercept contributes zero precision
     prec = z_mat.T @ z_mat / core.sigma2 + prior_prec
-    lin = z_mat.T @ (design.y - core.fitted["beta"]) / core.sigma2
+    lin = z_mat.T @ (design.y - design.scores @ core.theta["beta"]) / core.sigma2
     seed_rng = np.random.default_rng(92)
     core._draw_block("alpha", seed_rng)
     z = np.random.default_rng(92).standard_normal(3)
@@ -169,7 +167,7 @@ def test_variance_conditionals_match_inverse_gamma():
     sig_draws = np.empty(20_000)
     scale_draws = np.empty(20_000)
     theta_alpha = core.theta["alpha"].copy()
-    resid = design.y - sum(core.fitted.values())
+    resid = design.y - design.scores @ core.theta["beta"] - design.z @ theta_alpha
     for i in range(20_000):
         rate = cfg.var_rate + 0.5 * float(resid @ resid)
         sig_draws[i] = 1.0 / rng.gamma(cfg.var_shape + 0.5 * design.n, 1.0 / rate)
@@ -253,7 +251,7 @@ def test_prior_draw_requires_proper_scalar_priors():
     design = toy_design()  # has a flat-prior intercept
     core = _GibbsCore(design, GEWEKE_CONFIG)
     with pytest.raises(ValueError, match="penalized"):
-        core.prior_draw(np.random.default_rng(0))
+        prior_draw(core, np.random.default_rng(0))
 
 
 # --- independent-route check: zero persistence is the plain horseshoe ---------
@@ -355,7 +353,8 @@ def test_fit_shapes_and_prior_specific_fields():
     assert np.all(draws.sigma2 > 0) and np.all(draws.lambda0 > 0)
     assert np.all(np.abs(draws.phi) < 1)
     assert draws.y_hat.shape == (40,)
-    assert draws.block("g").coeffs.shape == (300, 5)
+    assert [blk.name for blk in draws.blocks] == ["g"]
+    assert draws.blocks[0].coeffs.shape == (300, 5)
     assert np.all(np.isinf(draws.alpha_scales2[:, -1]))  # flat intercept
 
     ps = fit(toy_design(seed=11), quick_config("pspline"), seed=2)
@@ -368,6 +367,15 @@ def test_fit_thinning_keeps_every_kth():
     design = toy_design(seed=12)
     draws = fit(design, FitConfig(burnin=50, draws=100, thin=4), seed=4)
     assert draws.n_draws == 25
+
+
+def test_fit_y_hat_is_the_mean_fit_over_kept_draws():
+    # thin=3 with draws % thin != 0: the leftover sweep is not averaged in
+    design = toy_design(adaptive=True, seed=16)
+    draws = fit(design, FitConfig(burnin=20, draws=61, thin=3), seed=5)
+    assert draws.n_draws == 20 and len(draws.blocks) == 1
+    want = predictive_means(draws, design, np.arange(draws.n_draws)).mean(axis=0)
+    assert np.max(np.abs(draws.y_hat - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_fit_recovers_signal_and_beats_noise():
@@ -437,8 +445,9 @@ def test_archive_round_trip(tmp_path):
     assert back.basis == draws.basis
     assert back.config == draws.config
     assert back.seed == 9
-    assert np.array_equal(back.block("g").coeffs, draws.block("g").coeffs)
-    assert back.block("g").basis == draws.block("g").basis
+    assert [blk.name for blk in back.blocks] == ["g"]
+    assert np.array_equal(back.blocks[0].coeffs, draws.blocks[0].coeffs)
+    assert back.blocks[0].basis == draws.blocks[0].basis
 
 
 def test_archive_keeps_fitted_curves_with_their_layout(tmp_path):
