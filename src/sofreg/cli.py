@@ -47,6 +47,9 @@ from sofreg.gibbs import (
     ArchivedCurves,
     FitConfig,
     NumericalError,
+    PosteriorDraws,
+    coefficient_draws_on_grid,
+    effective_sample_size,
     fit,
     load_curves,
     load_draws,
@@ -309,6 +312,18 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def _sampler_report(draws: PosteriorDraws, sample_s: float) -> dict:
+    """Sweeps, their rate, and the kept draws' effective sample sizes
+    (``beta_min`` the least over the summary grid; ``phi``, ``mu_h`` under ``dhs``)."""
+    grid = np.linspace(draws.basis.domain.lo, draws.basis.domain.hi, GRID_POINTS)
+    series = {"sigma2": draws.sigma2, "phi": draws.phi, "mu_h": draws.mu_h,
+              "beta_min": coefficient_draws_on_grid(draws, grid)}
+    ess = {k: np.min(effective_sample_size(v)) for k, v in series.items() if v is not None}
+    sweeps = draws.config.burnin + draws.config.draws
+    return {"sweeps": sweeps, "sweeps_per_s": sweeps / sample_s,
+            "ess": {k: float(v) if np.isfinite(v) else None for k, v in ess.items()}}
+
+
 # --- commands --------------------------------------------------------------------------
 
 
@@ -365,6 +380,7 @@ def cmd_fit(resolved: dict) -> int:
         "curves_sha256": curves_sha256,
         "subjects": len(curves),
         "grids": len(curves.groups),
+        "sampler": _sampler_report(draws, seconds["sample"]),
         "seconds": seconds,
         "peak_rss_mb": _peak_rss_mb(),
     }

@@ -9,9 +9,9 @@ is a spline whose second differences get one of three priors:
 * ``local-pspline``  independent local scales.
 
 All variants share a conjugate Gaussian block structure, so the sampler
-alternates exact conditional draws; no tuning is required.  Per-iteration
-cost is linear in the number of subjects and cubic only in the (small)
-number of basis coefficients.
+alternates exact conditional draws; no tuning is required.  A sweep's
+cost does not grow with the number of subjects: it works on cross-products
+formed once, and is cubic only in the (small) number of basis coefficients.
 
 Besides ``fit``, this module provides posterior curve summaries and a
 flat-file draw archive.
@@ -178,9 +178,9 @@ class _GibbsCore:
     Coefficient blocks are handled uniformly: the functional coefficient
     and any adaptive covariate blocks carry a spline shrinkage prior, the
     scalar block carries independent normal priors (flat on unpenalized
-    columns).  Conditional linear terms use cached cross-products, so only
-    the fitted values behind the noise variance's residual touch all n
-    subjects, once per sweep.
+    columns).  The conditionals and the noise variance's residual sum of
+    squares come from cross-products formed once, so a sweep touches no
+    n-sized array unless the fit is tight enough for that sum to cancel.
     """
 
     def __init__(self, design: RegressionDesign, config: FitConfig):
@@ -202,13 +202,14 @@ class _GibbsCore:
         self.scales = {name: _SplineScales() for name in self.spline_names}
         self.alpha_scales2 = np.where(design.penalized, 1.0, np.inf)
         self.sigma2 = 1.0
-        self.y = np.zeros(self.n)
-        self.ydot = {name: np.zeros(self.mats[name].shape[1]) for name in self.names}
+        self.ydot = {}
+        self.set_y(np.zeros(self.n))
 
     # -- state preparation --
 
     def set_y(self, y: np.ndarray) -> None:
         self.y = y
+        self.yy = float(y @ y)
         for name in self.names:
             self.ydot[name] = self.mats[name].T @ y
 
@@ -270,11 +271,8 @@ class _GibbsCore:
             theta[0], theta[-1], rng, shape=cfg.scale_shape, rate=cfg.scale_rate
         )
 
-    def sweep(self, rng: np.random.Generator) -> np.ndarray:
-        """One full scan: coefficient blocks, shrinkage scales, variances.
-
-        Returns the fitted values at the scan's final coefficients.
-        """
+    def sweep(self, rng: np.random.Generator) -> None:
+        """One full scan: coefficient blocks, shrinkage scales, variances."""
         cfg = self.config
         for name in self.names:
             self._draw_block(name, rng)
@@ -285,11 +283,15 @@ class _GibbsCore:
         if pen.any():
             rates = cfg.var_rate + 0.5 * alpha[pen] ** 2
             self.alpha_scales2[pen] = 1.0 / rng.gamma(cfg.var_shape + 0.5, 1.0 / rates)
-        fitted = sum(self.mats[name] @ self.theta[name] for name in self.names)
-        resid = self.y - fitted
-        rate = cfg.var_rate + 0.5 * float(resid @ resid)
+        theta, names = self.theta, self.names
+        rss = self.yy - 2.0 * sum(theta[a] @ self.ydot[a] for a in names) + sum(
+            theta[a] @ (self.gram[a][b] @ theta[b]) for a in names for b in names
+        )
+        if not (np.isfinite(rss) and rss > 1e-6 * self.yy):  # cancelled to a few digits
+            resid = self.y - sum(self.mats[a] @ theta[a] for a in names)
+            rss = resid @ resid
+        rate = cfg.var_rate + 0.5 * float(rss)
         self.sigma2 = 1.0 / rng.gamma(cfg.var_shape + 0.5 * self.n, 1.0 / rate)
-        return fitted
 
     def check_finite(self, iteration: int) -> None:
         ok = np.isfinite(self.sigma2) and all(
@@ -333,11 +335,10 @@ def fit(
     block_coeffs = {
         blk.name: np.empty((kept, blk.basis.size)) for blk in design.adaptive_blocks
     }
-    y_hat = np.zeros(design.n)
 
     s = 0
     for it in range(config.burnin + config.draws):
-        fitted = core.sweep(rng)
+        core.sweep(rng)
         core.check_finite(it)
         post = it - config.burnin
         if post < 0 or post % config.thin:
@@ -360,9 +361,11 @@ def fit(
             local_var[s] = beta_scales.local_var
         for name in block_coeffs:
             block_coeffs[name][s] = core.theta[name]
-        y_hat += fitted
         s += 1
-    y_hat /= kept
+    # the mean fit over the kept draws, taken at their mean coefficients
+    y_hat = design.scores @ coeffs.mean(axis=0) + design.z @ alpha.mean(axis=0)
+    for blk in design.adaptive_blocks:
+        y_hat += blk.design @ block_coeffs[blk.name].mean(axis=0)
 
     blocks = [
         BlockDraws(blk.name, blk.basis, block_coeffs[blk.name])
@@ -420,6 +423,27 @@ def summarize_coefficient(
     vals = coefficient_draws_on_grid(draws, grid)
     lo95, lo50, hi50, hi95 = np.quantile(vals, [0.025, 0.25, 0.75, 0.975], axis=0)
     return CurveSummary(grid, vals.mean(axis=0), lo50, hi50, lo95, hi95)
+
+
+def effective_sample_size(draws: np.ndarray) -> np.ndarray:
+    """Effective sample size of each column of one chain's (draws, ...) array.
+
+    Geyer's (1992) initial monotone sequence: the autocorrelations (all
+    columns in one FFT) are summed in consecutive pairs up to the first
+    non-positive pair, and the pairs are forced to be non-increasing.  A
+    column without variance gets NaN.
+    """
+    x = np.asarray(draws, dtype=float)
+    n = x.shape[0]
+    size = 1 << (2 * n - 1).bit_length()
+    spec = np.fft.rfft(x - x.mean(axis=0), size, axis=0)
+    acov = np.fft.irfft(spec * spec.conj(), size, axis=0)[:n]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rho = acov / acov[0]
+        pairs = rho[: 2 * (n // 2)].reshape(n // 2, 2, *x.shape[1:]).sum(axis=1)
+        pairs = np.where(np.logical_and.accumulate(pairs > 0.0, axis=0), pairs, 0.0)
+        tau = 2.0 * np.minimum.accumulate(pairs, axis=0).sum(axis=0) - 1.0
+        return np.where(acov[0] > 0.0, n / tau, np.nan)
 
 
 def subsample_indices(n_draws: int, size: int | None) -> np.ndarray:

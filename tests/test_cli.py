@@ -239,6 +239,16 @@ def test_fit_writes_archive_and_snapshot(pipeline_dirs):
     assert snapshot["sampler"]["prior"] == "dhs"
 
 
+def test_fit_report_has_sampler_diagnostics(pipeline_dirs):
+    _, _, fit_dir, _ = pipeline_dirs
+    sampler = json.loads((fit_dir / "fit_report.json").read_text())["sampler"]
+    assert sampler["sweeps"] == 160  # 80 burn-in + 80 kept
+    assert sampler["sweeps_per_s"] > 0.0
+    # a dhs fit: the scale process's persistence and level have ESS too
+    assert set(sampler["ess"]) == {"sigma2", "phi", "mu_h", "beta_min"}
+    assert all(0.0 < v for v in sampler["ess"].values())
+
+
 def test_fit_default_sampler_lengths():
     defaults = cli._defaults("fit")["sampler"]
     assert defaults["burnin"] == 10000 and defaults["draws"] == 10000

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from sofreg.basis import BSplineBasis, Domain, second_difference_matrix
 from sofreg.dhs import DhsConfig
@@ -19,6 +19,7 @@ from sofreg.gibbs import (
     NumericalError,
     _GibbsCore,
     coefficient_draws_on_grid,
+    effective_sample_size,
     fit,
     load_curves,
     load_draws,
@@ -421,6 +422,34 @@ def test_predictive_draws_center_on_fitted_values():
     gap = np.abs(reps.mean(axis=0) - draws.y_hat)
     tol = 6 * np.sqrt(draws.sigma2.mean() / reps.shape[0]) + 0.3
     assert np.mean(gap) < tol
+
+
+def _ar1_columns(rho: float, n: int, columns: int, seed: int) -> np.ndarray:
+    """Stationary AR(1) chains, one per column, with unit marginal variance."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((n, columns)) * math.sqrt(1.0 - rho**2)
+    e[0] = rng.standard_normal(columns)  # stationary start
+    return signal.lfilter([1.0], [1.0, -rho], e, axis=0)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_effective_sample_size_matches_ar1_theory_per_column(rho):
+    # ESS of an AR(1) chain is n (1 - rho) / (1 + rho); at n = 50 000 the
+    # estimator's spread is about 1.5% (iid) and 2.6% (rho = 0.5) per column
+    n = 50000
+    x = _ar1_columns(rho, n, columns=4, seed=31)
+    got = effective_sample_size(x)
+    assert got.shape == (4,)
+    assert np.allclose(got / (n * (1.0 - rho) / (1.0 + rho)), 1.0, rtol=0.0, atol=0.10), got
+    # one FFT over all columns gives each column's own estimate
+    each = [float(effective_sample_size(x[:, j])) for j in range(4)]
+    assert np.allclose(got, each, rtol=1e-12, atol=0.0)
+
+
+def test_effective_sample_size_of_a_constant_column_is_nan():
+    x = np.column_stack([np.ones(200), np.random.default_rng(2).standard_normal(200)])
+    got = effective_sample_size(x)
+    assert np.isnan(got[0]) and np.isfinite(got[1])
 
 
 def test_subsample_indices_deterministic_and_bounded():
