@@ -188,25 +188,12 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a key-value mapping")
         user = loaded
-    resolved = _merge(_defaults(command), user)
-    for flag in ("seed", "out_dir", "threads"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            resolved[flag] = value
-    for flag in (
-        "curves",
-        "scalars",
-        "archive",
-        "beta_summary",
-        "windows",
-        "epsilon",
-        "zero_tol",
-        "methods",
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            resolved[flag] = value
-    return resolved
+    flags = {
+        key: value
+        for key, value in vars(args).items()
+        if key not in ("command", "config") and value is not None
+    }
+    return _merge(_defaults(command), user) | flags
 
 
 def _snapshot(resolved: dict, command: str) -> str:
@@ -349,6 +336,9 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_fit(resolved: dict) -> int:
+    sampler = dict(resolved["sampler"])
+    refresh = sampler.pop("refresh")
+    config = FitConfig(**sampler, dhs=DhsConfig(refresh=refresh))
     curves_path = _require_file(resolved, "curves")
     if resolved.get("scalars") is None:
         raise ConfigError("fit needs a scalar file with the response column")
@@ -366,9 +356,6 @@ def cmd_fit(resolved: dict) -> int:
             scalars=covariates,
         )
     grid = np.unique(np.concatenate([g.t for g in curves.groups]))
-    sampler = dict(resolved["sampler"])
-    refresh = sampler.pop("refresh")
-    config = FitConfig(**sampler, dhs=DhsConfig(refresh=refresh))
     with _stage(seconds, "sample"):
         draws = fit(design, config, seed=resolved["seed"])
     with _stage(seconds, "save"):
@@ -476,40 +463,23 @@ def cmd_summarize(resolved: dict) -> int:
     }
     (out_dir / "path_report.json").write_text(json.dumps(report, indent=2) + "\n")
     need = max(1, int(np.ceil(family.epsilon * diag.percent_increase.shape[1])))
-    path_rows = []
-    for i in range(diag.lambdas.size):
-        draws_row = np.sort(diag.percent_increase[i])
-        path_rows.append(
-            [
-                repr(float(diag.lambdas[i])),
-                int(diag.n_level_changes[i] + 1),
-                repr(float(diag.empirical[i])),
-                repr(float(diag.percent_increase[i].mean())),
-                repr(float(draws_row[need - 1])),
-                repr(float(draws_row[-1])),
-                int(family.members[i]),
-                int(i == family.idx_lambda_min),
-                int(i == family.idx_simplest),
-                repr(float(kkt[i])),
-            ]
-        )
-    _write_table(
-        out_dir / "path_table.csv",
-        [
-            "lambda",
-            "n_levels",
-            "empirical_mse",
-            "mean_pct_increase",
-            "pct_increase_lo",
-            "pct_increase_hi",
-            "acceptable",
-            "is_lambda_min",
-            "is_simplest",
-            "kkt_residual",
-        ],
-        path_rows,
-        cfg_hash,
-    )
+    ranked = np.sort(diag.percent_increase, axis=1)
+    entry = np.arange(diag.lambdas.size)
+    columns = {
+        "lambda": diag.lambdas,
+        "n_levels": diag.n_level_changes + 1,
+        "empirical_mse": diag.empirical,
+        "mean_pct_increase": diag.percent_increase.mean(axis=1),
+        "pct_increase_lo": ranked[:, need - 1],
+        "pct_increase_hi": ranked[:, -1],
+        "acceptable": family.members.astype(int),
+        "is_lambda_min": (entry == family.idx_lambda_min).astype(int),
+        "is_simplest": (entry == family.idx_simplest).astype(int),
+        "kkt_residual": kkt,
+    }
+    # tolist() gives Python floats, which the csv writer writes as their repr
+    rows = zip(*(col.tolist() for col in columns.values()))
+    _write_table(out_dir / "path_table.csv", list(columns), rows, cfg_hash)
     _write_table(
         out_dir / "windows.csv",
         ["start", "end", "level", "label"],

@@ -69,14 +69,6 @@ class Partition:
     def cells(self) -> list[Domain]:
         return [Domain(float(a), float(b)) for a, b in zip(self.breaks[:-1], self.breaks[1:])]
 
-    def locate(self, t: np.ndarray) -> np.ndarray:
-        """Cell index of each point; right endpoint belongs to the last cell."""
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.span.lo, self.span.hi
-        if np.any(t < lo) or np.any(t > hi):
-            raise ValueError("points outside the partition span")
-        return np.minimum(np.searchsorted(self.breaks, t, side="right") - 1, self.size - 1)
-
 
 @dataclass(frozen=True)
 class AggregatedDesign:
@@ -143,10 +135,6 @@ class SolutionPath:
     deltas: np.ndarray  # (len(lambdas), size) step levels
     n_obs: int
     rank_deficient: bool = False
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.lambdas[0])
 
 
 def _lasso_columns(a: np.ndarray) -> np.ndarray:
@@ -288,13 +276,7 @@ def path_delta_at(path: SolutionPath, lam: float) -> np.ndarray:
     return (1.0 - w) * path.deltas[lo] + w * path.deltas[hi]
 
 
-def kkt_residual(
-    delta: np.ndarray,
-    targets: np.ndarray,
-    agg: AggregatedDesign,
-    lam: float,
-    fuse_tol: float | None = None,
-) -> float:
+def kkt_residual(delta: np.ndarray, targets: np.ndarray, agg: AggregatedDesign, lam: float) -> float:
     """Scaled stationarity violation of a candidate solution.
 
     Zero (to rounding) iff ``delta`` minimizes the penalized objective at
@@ -309,25 +291,27 @@ def kkt_residual(
     grad = a.T @ (a @ delta - r)
     s = np.cumsum(grad)
     scale = max(1.0, lam_std, float(np.max(np.abs(a.T @ r))))
-    diffs = np.diff(delta)
-    if fuse_tol is None:
-        fuse_tol = 1e-9 * max(1.0, float(np.max(np.abs(diffs), initial=0.0)))
     # a split boundary pins its dual to the sign of the jump; a fused one
     # only bounds it by the penalty
     per_cell = np.where(
-        np.abs(diffs) > fuse_tol,
-        np.abs(s[:-1] - lam_std * np.sign(diffs)),
+        _level_splits(delta),
+        np.abs(s[:-1] - lam_std * np.sign(np.diff(delta))),
         np.maximum(np.abs(s[:-1]) - lam_std, 0.0),
     )
     viol = max(abs(float(s[-1])), float(np.max(per_cell, initial=0.0)))
     return viol / scale
 
 
-def count_level_changes(delta: np.ndarray, tol: float | None = None) -> int:
-    diffs = np.abs(np.diff(delta))
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(diffs.max(initial=0.0)))
-    return int(np.sum(diffs > tol))
+def _level_splits(delta: np.ndarray) -> np.ndarray:
+    """Where adjacent levels (along the last axis) differ: by more than 1e-9
+    of the largest jump, or of 1 if no jump is larger."""
+    diffs = np.abs(np.diff(delta, axis=-1))
+    return diffs > 1e-9 * np.maximum(1.0, diffs.max(axis=-1, initial=0.0, keepdims=True))
+
+
+def count_level_changes(delta: np.ndarray) -> np.ndarray:
+    """Level changes of each level vector along the last axis (a scalar for one vector)."""
+    return np.sum(_level_splits(delta), axis=-1)
 
 
 # --- predictive pricing of the path ---------------------------------------------
@@ -344,10 +328,6 @@ class PathDiagnostics:
     percent_increase: np.ndarray  # (grid, draws) predictive percent loss vs the optimum
     idx_lambda_min: int
     span_rank: int  # rank of [A | X], the span the replicates are priced in
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.lambdas[self.idx_lambda_min])
 
 
 def _span_basis(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -431,11 +411,10 @@ def evaluate_path(
     gaps = (deltas - deltas[best]) @ span_a.T
     centers = draws.coeffs[idx] @ coords[:, cells:].T - span_a @ deltas[best]
     percent = _percent_increase(gaps, centers, np.sqrt(draws.sigma2[idx]), noise, rest, n)
-    levels = np.array([count_level_changes(d) for d in deltas])
     return PathDiagnostics(
         lambdas=lams,
         deltas=deltas,
-        n_level_changes=levels,
+        n_level_changes=count_level_changes(deltas),
         empirical=emp,
         percent_increase=percent,
         idx_lambda_min=best,
@@ -502,17 +481,12 @@ class LocallyConstantEstimate:
         return self.levels[idx]
 
 
-def build_estimate(
-    partition: Partition, delta: np.ndarray, lam: float, tol: float | None = None
-) -> LocallyConstantEstimate:
+def build_estimate(partition: Partition, delta: np.ndarray, lam: float) -> LocallyConstantEstimate:
     """Merge adjacent cells with equal levels into maximal runs."""
     delta = np.asarray(delta, dtype=float)
     if delta.size != partition.size:
         raise ValueError("level vector does not match the partition")
-    diffs = np.abs(np.diff(delta))
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(diffs.max(initial=0.0)))
-    cut = np.flatnonzero(diffs > tol)
+    cut = np.flatnonzero(_level_splits(delta))
     starts_idx = np.r_[0, cut + 1]
     ends_idx = np.r_[cut, delta.size - 1]
     return LocallyConstantEstimate(
@@ -521,6 +495,12 @@ def build_estimate(
         levels=delta[starts_idx],
         lam=lam,
     )
+
+
+def _runs(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of equal labels (no run if no labels)."""
+    cut = np.flatnonzero(labels[1:] != labels[:-1])
+    return np.r_[0, cut + 1][: labels.size], np.r_[cut, labels.size - 1][: labels.size]
 
 
 @dataclass(frozen=True)
@@ -542,24 +522,16 @@ def extract_windows(
         "0",
         np.where(estimate.levels > 0, "+", "-"),
     )
-    windows: list[Window] = []
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and labels[j + 1] == labels[i]:
-            j += 1
-        widths = estimate.ends[i : j + 1] - estimate.starts[i : j + 1]
-        level = float(estimate.levels[i : j + 1] @ widths / widths.sum())
-        windows.append(
-            Window(
-                start=float(estimate.starts[i]),
-                end=float(estimate.ends[j]),
-                level=level,
-                label=str(labels[i]),
-            )
+    widths = estimate.ends - estimate.starts
+    return [
+        Window(
+            start=float(estimate.starts[i]),
+            end=float(estimate.ends[j]),
+            level=float(estimate.levels[i : j + 1] @ widths[i : j + 1] / widths[i : j + 1].sum()),
+            label=str(labels[i]),
         )
-        i = j + 1
-    return windows
+        for i, j in zip(*_runs(labels))
+    ]
 
 
 def selection_on_grid(
@@ -582,25 +554,16 @@ def ci_selection(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 def ci_windows(grid: np.ndarray, mean: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> list[Window]:
     """Contiguous grid runs where the band excludes zero, as labeled windows."""
     sel = ci_selection(lower, upper)
-    windows: list[Window] = []
-    i = 0
-    while i < sel.size:
-        if sel[i] == 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < sel.size and sel[j + 1] == sel[i]:
-            j += 1
-        windows.append(
-            Window(
-                start=float(grid[i]),
-                end=float(grid[j]),
-                level=float(np.mean(mean[i : j + 1])),
-                label="+" if sel[i] > 0 else "-",
-            )
+    return [
+        Window(
+            start=float(grid[i]),
+            end=float(grid[j]),
+            level=float(np.mean(mean[i : j + 1])),
+            label="+" if sel[i] > 0 else "-",
         )
-        i = j + 1
-    return windows
+        for i, j in zip(*_runs(sel))
+        if sel[i] != 0
+    ]
 
 
 # --- end-to-end convenience -------------------------------------------------------

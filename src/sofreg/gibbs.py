@@ -74,6 +74,8 @@ class FitConfig:
             raise ValueError(f"unknown prior {self.prior!r}; expected one of {PRIOR_KINDS}")
         if self.draws < 1 or self.burnin < 0 or self.thin < 1:
             raise ValueError("need draws >= 1, burnin >= 0, thin >= 1")
+        if self.draws < self.thin:
+            raise ValueError(f"thin ({self.thin}) exceeds draws ({self.draws}): no draw would be kept")
 
 
 @dataclass
@@ -293,6 +295,28 @@ class _GibbsCore:
         rate = cfg.var_rate + 0.5 * float(rss)
         self.sigma2 = 1.0 / rng.gamma(cfg.var_shape + 0.5 * self.n, 1.0 / rate)
 
+    def record(self) -> dict:
+        """What a kept draw records, keyed by ``PosteriorDraws`` field name;
+        each adaptive block's coefficients under ``block:<name>``."""
+        scales = self.scales["beta"]
+        rec = {
+            "coeffs": self.theta["beta"],
+            "alpha": self.theta["alpha"],
+            "sigma2": self.sigma2,
+            "alpha_scales2": self.alpha_scales2,
+            "lambda0": scales.lambda0,
+        }
+        if self.config.prior == "dhs":
+            state = scales.dhs_state
+            rec.update(h=state.h, mu_h=state.mu_h, phi=state.phi)
+        elif self.config.prior == "pspline":
+            rec["smooth_var"] = scales.smooth_var
+        else:
+            rec["local_var"] = scales.local_var
+        for name in self.spline_names[1:]:
+            rec[f"block:{name}"] = self.theta[name]
+        return rec
+
     def check_finite(self, iteration: int) -> None:
         ok = np.isfinite(self.sigma2) and all(
             np.all(np.isfinite(self.theta[name])) for name in self.names
@@ -319,23 +343,7 @@ def fit(
     core.init_from_data()
 
     kept = config.draws // config.thin
-    k = design.basis_b.size
-    p = design.z.shape[1]
-    coeffs = np.empty((kept, k))
-    alpha = np.empty((kept, p))
-    sigma2 = np.empty(kept)
-    alpha_scales2 = np.empty((kept, p))
-    lambda0 = np.empty(kept)
-    is_dhs = config.prior == "dhs"
-    h = np.empty((kept, k - 2)) if is_dhs else None
-    mu_h = np.empty(kept) if is_dhs else None
-    phi = np.empty(kept) if is_dhs else None
-    smooth_var = np.empty(kept) if config.prior == "pspline" else None
-    local_var = np.empty((kept, k - 2)) if config.prior == "local-pspline" else None
-    block_coeffs = {
-        blk.name: np.empty((kept, blk.basis.size)) for blk in design.adaptive_blocks
-    }
-
+    store = {key: np.empty((kept, *np.shape(value))) for key, value in core.record().items()}
     s = 0
     for it in range(config.burnin + config.draws):
         core.sweep(rng)
@@ -345,51 +353,26 @@ def fit(
             continue
         if s == kept:
             continue  # leftover iterations when draws % thin != 0
-        coeffs[s] = core.theta["beta"]
-        alpha[s] = core.theta["alpha"]
-        sigma2[s] = core.sigma2
-        alpha_scales2[s] = core.alpha_scales2
-        beta_scales = core.scales["beta"]
-        lambda0[s] = beta_scales.lambda0
-        if is_dhs:
-            h[s] = beta_scales.dhs_state.h
-            mu_h[s] = beta_scales.dhs_state.mu_h
-            phi[s] = beta_scales.dhs_state.phi
-        elif config.prior == "pspline":
-            smooth_var[s] = beta_scales.smooth_var
-        else:
-            local_var[s] = beta_scales.local_var
-        for name in block_coeffs:
-            block_coeffs[name][s] = core.theta[name]
+        for key, value in core.record().items():
+            store[key][s] = value
         s += 1
     # the mean fit over the kept draws, taken at their mean coefficients
-    y_hat = design.scores @ coeffs.mean(axis=0) + design.z @ alpha.mean(axis=0)
+    y_hat = design.scores @ store["coeffs"].mean(axis=0) + design.z @ store["alpha"].mean(axis=0)
+    blocks = []
     for blk in design.adaptive_blocks:
-        y_hat += blk.design @ block_coeffs[blk.name].mean(axis=0)
-
-    blocks = [
-        BlockDraws(blk.name, blk.basis, block_coeffs[blk.name])
-        for blk in design.adaptive_blocks
-    ]
+        coeffs = store.pop(f"block:{blk.name}")
+        y_hat += blk.design @ coeffs.mean(axis=0)
+        blocks.append(BlockDraws(blk.name, blk.basis, coeffs))
     return PosteriorDraws(
-        coeffs=coeffs,
         basis=design.basis_b,
-        alpha=alpha,
         alpha_names=list(design.z_names),
         penalized=design.penalized.copy(),
-        sigma2=sigma2,
-        alpha_scales2=alpha_scales2,
-        lambda0=lambda0,
         prior=config.prior,
         config=config,
         y_hat=y_hat,
         blocks=blocks,
-        h=h,
-        mu_h=mu_h,
-        phi=phi,
-        smooth_var=smooth_var,
-        local_var=local_var,
         seed=seed,
+        **store,
     )
 
 
@@ -456,6 +439,12 @@ def subsample_indices(n_draws: int, size: int | None) -> np.ndarray:
 # --- flat-file draw archive ----------------------------------------------------
 
 ARCHIVE_FORMAT = "sofreg-draws-v2"
+# the ``PosteriorDraws`` arrays an archive keeps: every prior has the first
+# six, each prior only some of the rest
+_ARRAY_FIELDS = (
+    "coeffs", "alpha", "sigma2", "alpha_scales2", "lambda0", "y_hat",
+    "h", "mu_h", "phi", "smooth_var", "local_var",
+)
 _READABLE_FORMATS = ("sofreg-draws-v1", ARCHIVE_FORMAT)  # v1: draws only
 
 
@@ -523,18 +512,8 @@ def save_draws(draws: PosteriorDraws, directory, curves: ArchivedCurves | None =
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays: dict[str, np.ndarray] = {
-        "coeffs": draws.coeffs,
-        "alpha": draws.alpha,
-        "sigma2": draws.sigma2,
-        "alpha_scales2": draws.alpha_scales2,
-        "lambda0": draws.lambda0,
-        "y_hat": draws.y_hat,
-    }
-    for name in ("h", "mu_h", "phi", "smooth_var", "local_var"):
-        value = getattr(draws, name)
-        if value is not None:
-            arrays[name] = value
+    arrays = {name: getattr(draws, name) for name in _ARRAY_FIELDS}
+    arrays = {name: value for name, value in arrays.items() if value is not None}
     for blk in draws.blocks:
         arrays[f"block:{blk.name}"] = blk.coeffs
 
@@ -590,24 +569,15 @@ def load_draws(directory) -> PosteriorDraws:
         for bm in manifest["blocks"]
     ]
     return PosteriorDraws(
-        coeffs=arrays["coeffs"],
         basis=_basis_from_meta(manifest["basis"]),
-        alpha=arrays["alpha"],
         alpha_names=list(manifest["alpha_names"]),
         penalized=np.array(manifest["penalized"], dtype=bool),
-        sigma2=arrays["sigma2"],
-        alpha_scales2=arrays["alpha_scales2"],
-        lambda0=arrays["lambda0"],
         prior=manifest["prior"],
         config=config,
-        y_hat=arrays["y_hat"],
         blocks=blocks,
-        h=arrays.get("h"),
-        mu_h=arrays.get("mu_h"),
-        phi=arrays.get("phi"),
-        smooth_var=arrays.get("smooth_var"),
-        local_var=arrays.get("local_var"),
         seed=manifest.get("seed"),
+        **{name: arrays[name] for name in _ARRAY_FIELDS[:6]},
+        **{name: arrays.get(name) for name in _ARRAY_FIELDS[6:]},
     )
 
 

@@ -6,6 +6,8 @@ the full simulate -> fit -> summarize -> evaluate chain on a tiny
 problem, and replicate-study resume and worker-pool behavior.
 """
 
+import argparse
+import ast
 import hashlib
 import json
 import logging
@@ -117,6 +119,30 @@ def test_simulate_different_seeds_differ(tmp_path):
     ).read_bytes()
 
 
+def _flag_actions():
+    """(command, action) for every flag each subcommand's parser defines but ``--config``."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings and action.dest not in ("help", "config"):
+                yield command, action
+
+
+def test_every_flag_overrides_its_config_key():
+    values = {int: "7", float: "0.25", None: "given/path"}
+    seen = set()
+    for command, action in _flag_actions():
+        text = values.get(action.type, "pspline,local-pspline")  # --methods parses a list
+        want = action.type(text) if action.type else text
+        args = cli.build_parser().parse_args([command, action.option_strings[0], text])
+        default = cli._defaults(command)
+        assert action.dest in default, (command, action.dest)
+        assert default[action.dest] != want, (command, action.dest)
+        assert cli.resolve_config(command, args)[action.dest] == want, (command, action.dest)
+        seen.add(command)
+    assert seen == set(cli._COMMANDS)
+
+
 # --- fit / summarize / evaluate chain ------------------------------------------------
 
 
@@ -134,6 +160,22 @@ def test_fit_requires_response_file(tmp_path, capsys):
     code = run(["fit", "--curves", str(sim / "curves_rep000.csv"), "--out-dir", str(tmp_path / "f")])
     assert code == cli.EXIT_CONFIG
     assert "scalar" in capsys.readouterr().err
+
+
+def test_fit_rejects_thin_above_draws_before_reading(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    cfg = write_config(tmp_path / "c.yaml", {"n": 6, "grid": {"points": 15}, "signal": {"basis_size": 5}})
+    assert run(["simulate", "--config", cfg, "--out-dir", str(sim)]) == 0
+    fit_cfg = write_config(
+        tmp_path / "fit.yaml",
+        {"basis": {"curve_size": 8, "coef_size": 8}, "sampler": {"burnin": 5, "draws": 3, "thin": 5}},
+    )
+    out = tmp_path / "f"
+    argv = ["fit", "--config", fit_cfg, "--curves", str(sim / "curves_rep000.csv")]
+    argv += ["--scalars", str(sim / "scalars_rep000.csv"), "--out-dir", str(out)]
+    assert run(argv) == cli.EXIT_CONFIG
+    assert "thin (5) exceeds draws (3)" in capsys.readouterr().err
+    assert not (out / "archive").exists()
 
 
 @pytest.mark.parametrize(
@@ -386,6 +428,8 @@ def test_summarize_rejects_mismatched_scalars(pipeline_dirs, tmp_path, capsys):
 
 
 def _summarize_cells(sim, fit_dir, tmp_path, cells):
+    """Summarize the archive on ``cells`` regular cells; the path report and
+    the largest residual in the path table."""
     out = tmp_path / f"summ{cells}"
     cfg = write_config(
         tmp_path / f"summ{cells}.yaml",
@@ -395,14 +439,16 @@ def _summarize_cells(sim, fit_dir, tmp_path, cells):
     argv += ["--curves", str(sim / "curves_rep000.csv"), "--scalars", str(sim / "scalars_rep000.csv")]
     assert run(argv + ["--seed", "7", "--out-dir", str(out)]) == 0
     header, rows = read_table(out / "path_table.csv")
-    return max(float(r[header.index("kkt_residual")]) for r in rows)
+    worst = max(float(r[header.index("kkt_residual")]) for r in rows)
+    return json.loads((out / "path_report.json").read_text()), worst
 
 
 def test_summarize_warns_on_inexact_rank_deficient_path(pipeline_dirs, tmp_path, caplog):
-    # the 8-function curve basis caps rank(A) at 8: on this pspline posterior
-    # 10 cells still give an exact path, 30 cells do not.  Whether a path is
-    # inexact depends on the posterior draws, so the archive comes from a
-    # pspline fit, which no change to the DHS random stream moves.
+    # the 8-function curve basis caps rank(A) at 8, below both cell counts.
+    # On this pspline posterior 10 cells give an exact path.  Whether 30
+    # cells do rests on the last bits of the draws (ROADMAP item 1), so each
+    # run checks that the warning fires exactly when its report shows a
+    # rank-deficient, inexact path, and names what the report shows.
     _, sim, _, _ = pipeline_dirs
     fit_dir = tmp_path / "fit"
     fit_cfg = write_config(
@@ -415,13 +461,37 @@ def test_summarize_warns_on_inexact_rank_deficient_path(pipeline_dirs, tmp_path,
     argv = ["fit", "--config", fit_cfg, "--curves", str(sim / "curves_rep000.csv")]
     argv += ["--scalars", str(sim / "scalars_rep000.csv"), "--seed", "10", "--out-dir", str(fit_dir)]
     assert run(argv) == 0
-    with caplog.at_level(logging.WARNING, logger="sofreg.cli"):
-        assert _summarize_cells(sim, fit_dir, tmp_path, 10) <= 1e-8
-        assert not [r for r in caplog.records if r.name == "sofreg.cli"]
-        worst = _summarize_cells(sim, fit_dir, tmp_path, 30)
-    assert worst > 1e-8
-    assert "rank 8 below its 30 cells" in caplog.text
-    assert f"residual is {worst:.3g}" in caplog.text
+    for cells in (10, 30):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sofreg.cli"):
+            report, worst = _summarize_cells(sim, fit_dir, tmp_path, cells)
+        if cells == 10:
+            assert worst <= 1e-8
+        assert report["cells"] == cells and report["max_kkt_residual"] == worst
+        rank = report["rank_aggregated"]
+        warned = [r.getMessage() for r in caplog.records if r.name == "sofreg.cli"]
+        assert len(warned) == int(rank < cells and worst > 1e-8), (cells, rank, worst)
+        for message in warned:
+            assert f"rank {rank} below its {cells} cells" in message
+            assert f"residual is {worst:.3g}" in message
+
+
+def test_warn_on_inexact_path_needs_rank_deficiency_and_a_residual(caplog):
+    deficient = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [2.0, 1.0, 3.0], [1.0, 3.0, 4.0]])
+    cases = [
+        (deficient, [0.0, 1e-9, 3e-9], False),
+        (deficient, [1e-12, 2e-4, 5e-9], True),
+        (np.eye(3), [1e-12, 2e-4], False),
+    ]
+    for matrix, residuals, warns in cases:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="sofreg.cli"):
+            rank = cli._warn_on_inexact_path(matrix, np.array(residuals))
+        assert rank == (2 if matrix is deficient else 3)
+        warned = [r.getMessage() for r in caplog.records if r.name == "sofreg.cli"]
+        assert len(warned) == int(warns), (rank, residuals)
+        for message in warned:
+            assert "rank 2 below its 3 cells" in message and "residual is 0.0002" in message
 
 
 def _summarize_argv(root, sim, fit_dir, out, curves=None):
@@ -520,6 +590,32 @@ def test_subject_ids_with_commas_and_quotes_survive_fit_and_summarize(pipeline_d
     assert run(argv) == 0
     assert load_curves(fit_dir / "archive").coefs.ids == ids
     assert run(_summarize_argv(root, data, fit_dir, tmp_path / "summ")) == 0
+
+
+# --- package shape ----------------------------------------------------------------------
+
+
+def test_every_package_function_has_a_caller_in_the_package():
+    # a function, class, method or property that only tests call should live
+    # in the tests; names the package exports are its public interface
+    src = Path(sofreg.__file__).parent
+    defined, used = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        (file, line, name)
+        for file, line, name in defined
+        if name not in used
+        and name not in sofreg.__all__
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unused == []
 
 
 # --- imports: scipy only where sampling runs ------------------------------------------

@@ -18,7 +18,9 @@ from scipy import stats
 from sofreg.basis import BSplineBasis, Domain, cross_gram, integrate_basis
 from sofreg.decision import (
     AggregatedDesign,
+    LocallyConstantEstimate,
     Partition,
+    Window,
     acceptable_family,
     aggregate,
     analyze,
@@ -243,7 +245,7 @@ def test_path_endpoint_matches_constant_fit():
     c = float(total @ r / (total @ total))
     top = path.deltas[0]
     assert np.max(np.abs(top - c)) < 1e-8
-    assert np.max(np.abs(path_delta_at(path, 10.0 * path.lambda_max) - c)) < 1e-8
+    assert np.max(np.abs(path_delta_at(path, 10.0 * path.lambdas[0]) - c)) < 1e-8
     assert count_level_changes(top) == 0
 
 
@@ -268,7 +270,7 @@ def test_path_matches_admm_oracle_general_k():
     path = fused_lasso_path(r, agg)
     n = r.size
     for frac in (0.75, 0.4, 0.15, 0.02):
-        lam = float(frac * path.lambda_max)
+        lam = float(frac * path.lambdas[0])
         mine = path_delta_at(path, lam)
         oracle = admm_fused_lasso(r, agg.matrix, 0.5 * n * lam)
         assert np.max(np.abs(mine - oracle)) < 1e-6
@@ -316,14 +318,6 @@ def test_partition_validation():
     part = Partition.regular(Domain(0.0, 1.0), 4)
     assert part.size == 4
     assert [c.lo for c in part.cells()] == pytest.approx([0.0, 0.25, 0.5, 0.75])
-
-
-def test_partition_locate_closes_right_endpoint():
-    part = Partition(np.array([0.0, 0.25, 0.75, 1.0]))
-    idx = part.locate(np.array([0.0, 0.24, 0.25, 0.9, 1.0]))
-    assert idx.tolist() == [0, 0, 1, 2, 2]
-    with pytest.raises(ValueError, match="outside"):
-        part.locate(np.array([1.1]))
 
 
 def _constant_curve(basis, value, domain, sid="s"):
@@ -731,6 +725,70 @@ def test_ci_selection_and_windows():
     assert wins[1].start == pytest.approx(0.75) and wins[1].end == 1.0
 
 
+def extract_windows_loop(estimate, zero_tol=0.0):
+    """The run grouping of ``extract_windows`` as a scan, kept as its oracle."""
+    labels = np.where(
+        np.abs(estimate.levels) <= zero_tol, "0", np.where(estimate.levels > 0, "+", "-")
+    )
+    windows = []
+    i = 0
+    while i < labels.size:
+        j = i
+        while j + 1 < labels.size and labels[j + 1] == labels[i]:
+            j += 1
+        widths = estimate.ends[i : j + 1] - estimate.starts[i : j + 1]
+        level = float(estimate.levels[i : j + 1] @ widths / widths.sum())
+        windows.append(Window(float(estimate.starts[i]), float(estimate.ends[j]), level, str(labels[i])))
+        i = j + 1
+    return windows
+
+
+def ci_windows_loop(grid, mean, lower, upper):
+    """The run grouping of ``ci_windows`` as a scan, kept as its oracle."""
+    sel = ci_selection(lower, upper)
+    windows = []
+    i = 0
+    while i < sel.size:
+        if sel[i] == 0:
+            i += 1
+            continue
+        j = i
+        while j + 1 < sel.size and sel[j + 1] == sel[i]:
+            j += 1
+        label = "+" if sel[i] > 0 else "-"
+        windows.append(Window(float(grid[i]), float(grid[j]), float(np.mean(mean[i : j + 1])), label))
+        i = j + 1
+    return windows
+
+
+def _sign_sequences(rng):
+    yield np.zeros(9, dtype=int)
+    for sign in (-1, 0, 1):
+        yield np.array([sign])
+    yield np.resize([1, -1], 11)
+    yield np.resize([1, 0, -1, 0], 13)
+    yield np.repeat(rng.integers(-1, 2, 4), rng.integers(20, 60, 4))
+    for size in (2, 5, 30, 200):
+        yield rng.integers(-1, 2, size)
+
+
+def test_window_grouping_matches_loop_oracles():
+    rng = np.random.default_rng(21)
+    for signs in _sign_sequences(rng):
+        breaks = np.cumsum(np.r_[0.0, rng.uniform(0.1, 1.0, signs.size)])
+        levels = signs * rng.uniform(0.0, 1.0, signs.size)
+        est = LocallyConstantEstimate(breaks[:-1], breaks[1:], levels, lam=0.1)
+        for zero_tol in (0.0, 0.3):
+            assert extract_windows(est, zero_tol) == extract_windows_loop(est, zero_tol)
+        grid, mean = breaks[:-1], rng.standard_normal(signs.size)
+        lower = np.where(signs > 0, 0.1, -1.0) * rng.uniform(0.5, 1.5, signs.size)
+        upper = np.where(signs < 0, -0.1, 1.0) * rng.uniform(0.5, 1.5, signs.size)
+        assert np.array_equal(ci_selection(lower, upper), signs)
+        assert ci_windows(grid, mean, lower, upper) == ci_windows_loop(grid, mean, lower, upper)
+    empty = np.array([])
+    assert ci_windows(empty, empty, empty, empty) == []
+
+
 # --- path pricing and the end-to-end pipeline ---------------------------------------
 
 
@@ -828,7 +886,7 @@ def test_analyze_recovers_block_structure_end_to_end():
     # the empirical optimum tracks the generating block signs; the simplest
     # acceptable member may fuse further, which is the method working as
     # intended rather than a defect
-    opt = build_estimate(part, d.deltas[d.idx_lambda_min], d.lambda_min)
+    opt = build_estimate(part, d.deltas[d.idx_lambda_min], d.lambdas[d.idx_lambda_min])
     sel = selection_on_grid(opt, np.array([0.1, 0.9]), zero_tol=0.05)
     assert sel[0] == 1 and sel[1] == -1
 

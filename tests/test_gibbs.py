@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from scipy import signal, stats
 
 from sofreg.basis import BSplineBasis, Domain, second_difference_matrix
@@ -514,6 +515,20 @@ def test_archive_without_curves_loads_draws_but_no_curves(tmp_path):
         load_curves(tmp_path / "arch")
 
 
+def test_archive_requires_the_common_arrays_only(tmp_path):
+    save_draws(fit(toy_design(seed=5), quick_config("pspline"), seed=3), tmp_path / "arch")
+    back = load_draws(tmp_path / "arch")
+    assert back.smooth_var.shape == (300,)
+    assert back.h is None and back.mu_h is None and back.phi is None and back.local_var is None
+
+    manifest_path = tmp_path / "arch" / "manifest.yaml"
+    manifest = yaml.safe_load(manifest_path.read_text())
+    del manifest["arrays"]["sigma2"]
+    manifest_path.write_text(yaml.safe_dump(manifest))
+    with pytest.raises(KeyError, match="sigma2"):
+        load_draws(tmp_path / "arch")
+
+
 def test_archive_rejects_foreign_directory(tmp_path):
     (tmp_path / "manifest.yaml").write_text("format: something-else\n")
     with pytest.raises(ValueError, match="archive"):
@@ -523,6 +538,12 @@ def test_archive_rejects_foreign_directory(tmp_path):
 def test_stable_hash_is_order_insensitive():
     assert stable_hash({"a": 1, "b": [1, 2]}) == stable_hash({"b": [1, 2], "a": 1})
     assert stable_hash({"a": 1}) != stable_hash({"a": 2})
+
+
+def test_fit_config_rejects_thin_above_draws():
+    with pytest.raises(ValueError, match=r"thin \(5\) exceeds draws \(3\)"):
+        FitConfig(draws=3, thin=5)
+    assert FitConfig(draws=5, thin=5).draws == 5
 
 
 def test_fit_config_validation():
