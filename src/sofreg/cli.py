@@ -301,10 +301,11 @@ def _peak_rss_mb() -> float:
 
 def _sampler_report(draws: PosteriorDraws, sample_s: float) -> dict:
     """Sweeps, their rate, and the kept draws' effective sample sizes
-    (``beta_min`` the least over the summary grid; ``phi``, ``mu_h`` under ``dhs``)."""
+    (``beta_min`` the least over the summary grid, ``alpha_min`` over the
+    scalar columns; ``phi``, ``mu_h`` under ``dhs``)."""
     grid = np.linspace(draws.basis.domain.lo, draws.basis.domain.hi, GRID_POINTS)
     series = {"sigma2": draws.sigma2, "phi": draws.phi, "mu_h": draws.mu_h,
-              "beta_min": coefficient_draws_on_grid(draws, grid)}
+              "beta_min": coefficient_draws_on_grid(draws, grid), "alpha_min": draws.alpha}
     ess = {k: np.min(effective_sample_size(v)) for k, v in series.items() if v is not None}
     sweeps = draws.config.burnin + draws.config.draws
     return {"sweeps": sweeps, "sweeps_per_s": sweeps / sample_s,

@@ -352,14 +352,6 @@ def _percent_increase(gaps, centers, sd, noise, rest, n: int) -> np.ndarray:
     return 100.0 * excess / ref[None, :]
 
 
-def _mean_block_fit(draws: PosteriorDraws, design: RegressionDesign) -> np.ndarray | float:
-    """Summed adaptive-block fit at the posterior mean block coefficients; 0 without blocks."""
-    return sum(
-        dblk.design @ blk.coeffs.mean(axis=0)
-        for blk in draws.blocks for dblk in design.adaptive_blocks if dblk.name == blk.name
-    )
-
-
 def evaluate_path(
     path: SolutionPath,
     y: np.ndarray,
@@ -373,12 +365,11 @@ def evaluate_path(
     """Price every (subsampled) knot by observed and predictive squared loss.
 
     Entry i's empirical loss is ``||adj - A delta_i||^2 / n``, with ``adj``
-    the response less the mean scalar fit and the adaptive-block fit at the
-    mean block coefficients; the smallest is the optimum b.  One common set
-    of predictive replicates prices every entry, so percent differences
-    compare draw by draw.
+    the response less the scalar fit at the mean scalar coefficients; the
+    smallest is the optimum b.  One common set of predictive replicates
+    prices every entry, so percent differences compare draw by draw.
 
-    Replicate s less its own scalar and block fits leaves the residual
+    Replicate s less its own scalar fit leaves the residual
     ``r0_s = X theta_s - A delta_b + sigma_s eps_s`` at the optimum (X the
     curve scores).  With Q an orthonormal basis of the span of ``[A | X]``
     and ``g_i = Q'A (delta_i - delta_b)``, entry i's loss exceeds the
@@ -396,7 +387,7 @@ def evaluate_path(
     deltas = path.deltas[keep]
     n = y.size
 
-    adj = y - design.z @ draws.alpha.mean(axis=0) - _mean_block_fit(draws, design)
+    adj = y - design.z @ draws.alpha.mean(axis=0)
     resid = adj[:, None] - agg.matrix @ deltas.T
     emp = np.einsum("ij,ij->j", resid, resid) / n
     del resid  # n x entries: freed before the SVD
@@ -595,13 +586,12 @@ def analyze(
 ) -> DecisionSummary:
     """Fit-to-the-fit pipeline: aggregate, trace the path, price it, summarize.
 
-    Targets are the posterior fitted values with every non-functional
-    component (intercept, scalar effects, extra smooth terms) removed, so
-    the step function chases only the curve effect.
+    Targets are the posterior fitted values less the scalar fit (intercept
+    and scalar effects) at the mean scalar coefficients, so the step
+    function chases only the curve effect.
     """
     agg = aggregate(curves, partition)
-    alpha_hat = draws.alpha.mean(axis=0)
-    targets = draws.y_hat - design.z @ alpha_hat - _mean_block_fit(draws, design)
+    targets = draws.y_hat - design.z @ draws.alpha.mean(axis=0)
     path = fused_lasso_path(targets, agg)
     diag = evaluate_path(path, y, draws, design, agg, rng, pred_draws=pred_draws)
     family = acceptable_family(diag, epsilon)

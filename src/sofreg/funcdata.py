@@ -15,10 +15,9 @@ per-subject records ``CurveObservation`` and ``CoefCurve``, and every
 function that takes a set also takes a plain list of records, converted
 once on entry.
 
-Scalar covariates are expanded (identity, dummy coding, hinge terms, or a
-spline block that will receive its own adaptive prior), continuous
-expanded columns are standardized, and everything is packed into a
-``RegressionDesign`` consumed by the sampler.
+Scalar covariates enter linearly: a numeric one as a standardized column,
+any other dummy-coded.  With an unpenalized intercept and the curve
+scores they form the ``RegressionDesign`` the sampler consumes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import io
 import itertools
 import warnings
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -275,66 +274,13 @@ def functional_scores(curves: CoefSet | Sequence[CoefCurve], basis_b: BSplineBas
     return rows
 
 
-# --- scalar covariate expansion -------------------------------------------
-
-
-@dataclass(frozen=True)
-class Linear:
-    """Use the covariate as a single standardized column."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Categorical:
-    """Dummy-code a discrete covariate, dropping the first sorted level."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class PiecewiseLinear:
-    """Linear term plus hinge terms (w - knot)_+ at the given knots."""
-
-    name: str
-    knots: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.knots) == 0 or np.any(np.diff(self.knots) <= 0):
-            raise ValueError(f"{self.name}: knots must be nonempty and increasing")
-
-
-@dataclass(frozen=True)
-class SplineTerm:
-    """Spline block for a covariate effect that gets its own adaptive prior.
-
-    The block is kept separate from the ordinary scalar columns: it is not
-    standardized and its coefficients are shrunk through second differences
-    exactly like the functional coefficient.
-    """
-
-    name: str
-    size: int
-    degree: int = 3
-    domain: Domain | None = None
-
-
-ExpansionRule = Linear | Categorical | PiecewiseLinear | SplineTerm
-
-
-@dataclass
-class AdaptiveBlock:
-    """Design block for one spline-expanded covariate effect."""
-
-    name: str
-    basis: BSplineBasis
-    design: np.ndarray
+# --- scalar covariates and the regression design ---------------------------
 
 
 @dataclass
 class RegressionDesign:
     """Everything the sampler needs: response, reduced functional design,
-    expanded scalar design, and any adaptive spline blocks."""
+    and expanded scalar design."""
 
     y: np.ndarray
     scores: np.ndarray
@@ -343,76 +289,47 @@ class RegressionDesign:
     z_names: list[str]
     penalized: np.ndarray
     subject_ids: list[str]
-    adaptive_blocks: list[AdaptiveBlock] = field(default_factory=list)
-    scaling: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
         return self.y.size
 
 
-def _as_float_column(name: str, values: np.ndarray) -> np.ndarray:
-    col = np.asarray(values, dtype=float)
+def _standardized(name: str, raw: np.ndarray) -> np.ndarray:
+    col = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(col)):
         raise ValueError(f"covariate {name}: non-finite values")
-    return col
-
-
-def _standardize(col: np.ndarray) -> tuple[np.ndarray, float, float]:
     mean = float(col.mean())
     sd = float(col.std(ddof=1)) if col.size > 1 else 0.0
     if sd < 1e-12:
-        return col - mean, mean, 1.0  # constant column: center only
-    return (col - mean) / sd, mean, sd
+        return col - mean  # constant column: center only
+    return (col - mean) / sd
 
 
-def expand_scalars(
-    scalars: Mapping[str, Sequence],
-    rules: Sequence[ExpansionRule],
-    n: int,
-) -> tuple[np.ndarray, list[str], dict[str, tuple[float, float]], list[AdaptiveBlock]]:
-    """Expanded scalar design (without intercept), names, scaling, spline blocks."""
+def expand_scalars(scalars: Mapping[str, Sequence], n: int) -> tuple[np.ndarray, list[str]]:
+    """Scalar design and its column names, the intercept last.
+
+    A numeric covariate becomes one standardized column; any other is
+    dummy-coded, its first sorted level the reference.
+    """
     cols: list[np.ndarray] = []
     names: list[str] = []
-    scaling: dict[str, tuple[float, float]] = {}
-    blocks: list[AdaptiveBlock] = []
-    for rule in rules:
-        if rule.name not in scalars:
-            raise ValueError(f"covariate {rule.name} not provided")
-        raw = np.asarray(scalars[rule.name])
+    for name, values in scalars.items():
+        raw = np.asarray(values)
         if raw.shape != (n,):
-            raise ValueError(f"covariate {rule.name}: expected {n} values")
-        if isinstance(rule, Linear):
-            col, mean, sd = _standardize(_as_float_column(rule.name, raw))
-            cols.append(col)
-            names.append(rule.name)
-            scaling[rule.name] = (mean, sd)
-        elif isinstance(rule, PiecewiseLinear):
-            base = _as_float_column(rule.name, raw)
-            expanded = [base] + [np.maximum(base - knot, 0.0) for knot in rule.knots]
-            labels = [rule.name] + [f"{rule.name}:hinge@{knot:g}" for knot in rule.knots]
-            for label, raw_col in zip(labels, expanded):
-                col, mean, sd = _standardize(raw_col)
-                cols.append(col)
-                names.append(label)
-                scaling[label] = (mean, sd)
-        elif isinstance(rule, Categorical):
-            levels = sorted({str(v) for v in raw})
-            if len(levels) < 2:
-                raise ValueError(f"covariate {rule.name}: needs at least two levels")
-            as_str = np.array([str(v) for v in raw])
-            for level in levels[1:]:  # first sorted level is the reference
-                cols.append((as_str == level).astype(float))
-                names.append(f"{rule.name}={level}")
-        elif isinstance(rule, SplineTerm):
-            vals = _as_float_column(rule.name, raw)
-            dom = rule.domain or Domain(float(vals.min()), float(vals.max()))
-            basis = BSplineBasis(dom, rule.size, rule.degree)
-            blocks.append(AdaptiveBlock(rule.name, basis, eval_basis_matrix(basis, vals)))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown expansion rule {rule!r}")
-    z = np.column_stack(cols) if cols else np.empty((n, 0))
-    return z, names, scaling, blocks
+            raise ValueError(f"covariate {name}: expected {n} values")
+        if raw.dtype.kind in "fiu":
+            cols.append(_standardized(name, raw))
+            names.append(name)
+            continue
+        levels = sorted({str(v) for v in raw})
+        if len(levels) < 2:
+            raise ValueError(f"covariate {name}: needs at least two levels")
+        as_str = np.array([str(v) for v in raw])
+        for level in levels[1:]:
+            cols.append((as_str == level).astype(float))
+            names.append(f"{name}={level}")
+    return np.column_stack(cols + [np.ones(n)]), names + ["(intercept)"]
 
 
 def build_design(
@@ -420,14 +337,11 @@ def build_design(
     basis_b: BSplineBasis,
     y: Sequence[float],
     scalars: Mapping[str, Sequence] | None = None,
-    rules: Sequence[ExpansionRule] | None = None,
-    include_intercept: bool = True,
 ) -> RegressionDesign:
     """Assemble the full regression design.
 
-    When ``rules`` is omitted, every provided scalar gets a ``Linear``
-    expansion if numeric and ``Categorical`` otherwise.  The intercept, when
-    included, is appended as a final unpenalized column of ones.
+    The scalar columns come from ``expand_scalars``; all but the
+    intercept are penalized.
     """
     curves = CoefSet.of(curves)
     y = np.asarray(y, dtype=float)
@@ -440,33 +354,15 @@ def build_design(
     if len(set(ids)) != n:
         raise ValueError("duplicate subject ids")
 
-    scalars = scalars or {}
-    if rules is None:
-        rules = []
-        for name, values in scalars.items():
-            arr = np.asarray(values)
-            if arr.dtype.kind in "fiu":
-                rules.append(Linear(name))
-            else:
-                rules.append(Categorical(name))
-    z, names, scaling, blocks = expand_scalars(scalars, rules, n)
-    penalized = np.ones(z.shape[1], dtype=bool)
-    if include_intercept:
-        z = np.column_stack([z, np.ones(n)])
-        names = names + ["(intercept)"]
-        penalized = np.append(penalized, False)
-
-    scores = functional_scores(curves, basis_b)
+    z, names = expand_scalars(scalars or {}, n)
     return RegressionDesign(
         y=y,
-        scores=scores,
+        scores=functional_scores(curves, basis_b),
         basis_b=basis_b,
         z=z,
         z_names=names,
-        penalized=penalized,
+        penalized=np.arange(len(names)) < len(names) - 1,
         subject_ids=ids,
-        adaptive_blocks=blocks,
-        scaling=scaling,
     )
 
 

@@ -79,15 +79,6 @@ class FitConfig:
 
 
 @dataclass
-class BlockDraws:
-    """Posterior draws for one spline-expanded covariate effect."""
-
-    name: str
-    basis: BSplineBasis
-    coeffs: np.ndarray
-
-
-@dataclass
 class PosteriorDraws:
     """Stored posterior sample and enough metadata to reuse it later."""
 
@@ -102,7 +93,6 @@ class PosteriorDraws:
     prior: str
     config: FitConfig
     y_hat: np.ndarray
-    blocks: list[BlockDraws] = field(default_factory=list)
     h: np.ndarray | None = None
     mu_h: np.ndarray | None = None
     phi: np.ndarray | None = None
@@ -155,7 +145,7 @@ def sample_gaussian_by_precision(
 
 @dataclass
 class _SplineScales:
-    """Scale state for one spline coefficient block under any prior kind."""
+    """Scale state of the functional coefficient under any prior kind."""
 
     lambda0: float = 1.0
     dhs_state: DhsState | None = None
@@ -175,36 +165,32 @@ class _SplineScales:
 
 
 class _GibbsCore:
-    """Precomputed cross-products plus the current state of every block.
+    """Cross-products formed once, plus the state of the model's two blocks.
 
-    Coefficient blocks are handled uniformly: the functional coefficient
-    and any adaptive covariate blocks carry a spline shrinkage prior, the
-    scalar block carries independent normal priors (flat on unpenalized
-    columns).  The conditionals and the noise variance's residual sum of
-    squares come from cross-products formed once, so a sweep touches no
-    n-sized array unless the fit is tight enough for that sum to cancel.
+    The response is ``X beta + Z alpha`` plus noise, with X the curve
+    scores and Z the scalar design.  The functional coefficient ``beta``
+    carries a spline shrinkage prior on its second differences; the scalar
+    coefficients ``alpha`` carry independent normal priors (flat on
+    unpenalized columns).  A sweep draws beta given alpha, then alpha given
+    the new beta.  The conditionals and the noise variance's residual sum
+    of squares come from the cross-products, so a sweep touches no n-sized
+    array unless the fit is tight enough for that sum to cancel.
     """
 
     def __init__(self, design: RegressionDesign, config: FitConfig):
         self.config = config
         self.design = design
-        self.names = ["beta"] + [b.name for b in design.adaptive_blocks] + ["alpha"]
-        mats = [design.scores] + [b.design for b in design.adaptive_blocks] + [design.z]
-        self.mats = dict(zip(self.names, mats))
-        self.spline_names = self.names[:-1]
         self.n = design.n
+        self.x, self.z = design.scores, design.z
+        self.xx, self.xz = self.x.T @ self.x, self.x.T @ self.z
+        self.zx, self.zz = self.z.T @ self.x, self.z.T @ self.z
+        self.diff_op = second_difference_matrix(self.x.shape[1])
 
-        self.gram = {
-            a: {b: self.mats[a].T @ self.mats[b] for b in self.names} for a in self.names
-        }
-        self.diff_op = {name: second_difference_matrix(self.mats[name].shape[1])
-                        for name in self.spline_names}
-
-        self.theta = {name: np.zeros(self.mats[name].shape[1]) for name in self.names}
-        self.scales = {name: _SplineScales() for name in self.spline_names}
+        self.beta = np.zeros(self.x.shape[1])
+        self.alpha = np.zeros(self.z.shape[1])
+        self.scales = _SplineScales()
         self.alpha_scales2 = np.where(design.penalized, 1.0, np.inf)
         self.sigma2 = 1.0
-        self.ydot = {}
         self.set_y(np.zeros(self.n))
 
     # -- state preparation --
@@ -212,55 +198,48 @@ class _GibbsCore:
     def set_y(self, y: np.ndarray) -> None:
         self.y = y
         self.yy = float(y @ y)
-        for name in self.names:
-            self.ydot[name] = self.mats[name].T @ y
+        self.xy = self.x.T @ y
+        self.zy = self.z.T @ y
 
     def init_from_data(self) -> None:
         """Deterministic warm start: ridge fits and method-of-moments scales."""
-        cfg = self.config
-        for name in self.spline_names:
-            mat, dop = self.mats[name], self.diff_op[name]
-            ridge = self.gram[name][name] + dop.T @ dop + 1e-10 * np.eye(dop.shape[0])
-            self.theta[name] = np.linalg.solve(ridge, self.ydot[name])
-            d2 = (dop @ self.theta[name])[1:-1]
-            scales = self.scales[name]
-            scales.lambda0 = 1.0
-            if cfg.prior == "dhs":
-                scales.dhs_state = init_dhs_state(d2)
-            else:
-                level = float(np.clip(d2.var(), 1e-10, 1e10))
-                scales.smooth_var = level
-                scales.local_var = np.full(d2.size, level)
-        self.theta["alpha"] = np.zeros(self.mats["alpha"].shape[1])
+        dop = self.diff_op
+        ridge = self.xx + dop.T @ dop + 1e-10 * np.eye(dop.shape[0])
+        self.beta = np.linalg.solve(ridge, self.xy)
+        d2 = (dop @ self.beta)[1:-1]
+        self.scales.lambda0 = 1.0
+        if self.config.prior == "dhs":
+            self.scales.dhs_state = init_dhs_state(d2)
+        else:
+            level = float(np.clip(d2.var(), 1e-10, 1e10))
+            self.scales.smooth_var = level
+            self.scales.local_var = np.full(d2.size, level)
+        self.alpha = np.zeros(self.alpha.size)
         var_y = float(self.y.var(ddof=1)) if self.n > 1 else 1.0
         self.sigma2 = var_y if var_y > 0 else 1.0
         self.alpha_scales2 = np.where(self.design.penalized, 1.0, np.inf)
 
     # -- conditional draws --
 
-    def _prior_precision(self, name: str) -> np.ndarray:
-        if name == "alpha":
-            return np.diag(np.where(np.isinf(self.alpha_scales2), 0.0, 1.0 / self.alpha_scales2))
-        dop = self.diff_op[name]
-        lam = self.scales[name].variance_vector(self.config.prior, dop.shape[0])
-        return dop.T @ (dop / lam[:, None])
+    def _draw_beta(self, rng: np.random.Generator) -> None:
+        dop = self.diff_op
+        lam = self.scales.variance_vector(self.config.prior, dop.shape[0])
+        prec = self.xx / self.sigma2 + dop.T @ (dop / lam[:, None])
+        lin = (self.xy - self.xz @ self.alpha) / self.sigma2
+        self.beta = sample_gaussian_by_precision(prec, lin, rng)
 
-    def _draw_block(self, name: str, rng: np.random.Generator) -> None:
-        if self.theta[name].size == 0:
+    def _draw_alpha(self, rng: np.random.Generator) -> None:
+        if self.alpha.size == 0:
             return
-        lin = self.ydot[name].copy()
-        for other in self.names:
-            if other != name:
-                lin -= self.gram[name][other] @ self.theta[other]
-        lin /= self.sigma2
-        prec = self.gram[name][name] / self.sigma2 + self._prior_precision(name)
-        self.theta[name] = sample_gaussian_by_precision(prec, lin, rng)
+        inv_scales2 = np.where(np.isinf(self.alpha_scales2), 0.0, 1.0 / self.alpha_scales2)
+        prec = self.zz / self.sigma2 + np.diag(inv_scales2)
+        lin = (self.zy - self.zx @ self.beta) / self.sigma2
+        self.alpha = sample_gaussian_by_precision(prec, lin, rng)
 
-    def _update_spline_scales(self, name: str, rng: np.random.Generator) -> None:
+    def _update_scales(self, rng: np.random.Generator) -> None:
         cfg = self.config
-        theta = self.theta[name]
-        scales = self.scales[name]
-        d2 = (self.diff_op[name] @ theta)[1:-1]
+        beta, scales = self.beta, self.scales
+        d2 = (self.diff_op @ beta)[1:-1]
         if cfg.prior == "dhs":
             dhs_step(d2, scales.dhs_state, cfg.dhs, rng)
         elif cfg.prior == "pspline":
@@ -270,38 +249,36 @@ class _GibbsCore:
             rates = cfg.scale_rate + 0.5 * d2**2
             scales.local_var = 1.0 / rng.gamma(cfg.scale_shape + 0.5, 1.0 / rates)
         scales.lambda0 = sample_boundary_scale(
-            theta[0], theta[-1], rng, shape=cfg.scale_shape, rate=cfg.scale_rate
+            beta[0], beta[-1], rng, shape=cfg.scale_shape, rate=cfg.scale_rate
         )
 
     def sweep(self, rng: np.random.Generator) -> None:
-        """One full scan: coefficient blocks, shrinkage scales, variances."""
+        """One full scan: beta, alpha, shrinkage scales, variances."""
         cfg = self.config
-        for name in self.names:
-            self._draw_block(name, rng)
-        for name in self.spline_names:
-            self._update_spline_scales(name, rng)
-        alpha = self.theta["alpha"]
+        self._draw_beta(rng)
+        self._draw_alpha(rng)
+        self._update_scales(rng)
+        beta, alpha = self.beta, self.alpha
         pen = self.design.penalized
         if pen.any():
             rates = cfg.var_rate + 0.5 * alpha[pen] ** 2
             self.alpha_scales2[pen] = 1.0 / rng.gamma(cfg.var_shape + 0.5, 1.0 / rates)
-        theta, names = self.theta, self.names
-        rss = self.yy - 2.0 * sum(theta[a] @ self.ydot[a] for a in names) + sum(
-            theta[a] @ (self.gram[a][b] @ theta[b]) for a in names for b in names
+        rss = self.yy - 2.0 * (beta @ self.xy + alpha @ self.zy) + (
+            beta @ (self.xx @ beta) + beta @ (self.xz @ alpha)
+            + alpha @ (self.zx @ beta) + alpha @ (self.zz @ alpha)
         )
         if not (np.isfinite(rss) and rss > 1e-6 * self.yy):  # cancelled to a few digits
-            resid = self.y - sum(self.mats[a] @ theta[a] for a in names)
+            resid = self.y - (self.x @ beta + self.z @ alpha)
             rss = resid @ resid
         rate = cfg.var_rate + 0.5 * float(rss)
         self.sigma2 = 1.0 / rng.gamma(cfg.var_shape + 0.5 * self.n, 1.0 / rate)
 
     def record(self) -> dict:
-        """What a kept draw records, keyed by ``PosteriorDraws`` field name;
-        each adaptive block's coefficients under ``block:<name>``."""
-        scales = self.scales["beta"]
+        """What a kept draw records, keyed by ``PosteriorDraws`` field name."""
+        scales = self.scales
         rec = {
-            "coeffs": self.theta["beta"],
-            "alpha": self.theta["alpha"],
+            "coeffs": self.beta,
+            "alpha": self.alpha,
             "sigma2": self.sigma2,
             "alpha_scales2": self.alpha_scales2,
             "lambda0": scales.lambda0,
@@ -313,15 +290,10 @@ class _GibbsCore:
             rec["smooth_var"] = scales.smooth_var
         else:
             rec["local_var"] = scales.local_var
-        for name in self.spline_names[1:]:
-            rec[f"block:{name}"] = self.theta[name]
         return rec
 
     def check_finite(self, iteration: int) -> None:
-        ok = np.isfinite(self.sigma2) and all(
-            np.all(np.isfinite(self.theta[name])) for name in self.names
-        )
-        if not ok:
+        if not all(np.all(np.isfinite(v)) for v in (self.sigma2, self.beta, self.alpha)):
             raise NumericalError(f"non-finite sampler state at iteration {iteration}")
 
 
@@ -358,11 +330,6 @@ def fit(
         s += 1
     # the mean fit over the kept draws, taken at their mean coefficients
     y_hat = design.scores @ store["coeffs"].mean(axis=0) + design.z @ store["alpha"].mean(axis=0)
-    blocks = []
-    for blk in design.adaptive_blocks:
-        coeffs = store.pop(f"block:{blk.name}")
-        y_hat += blk.design @ coeffs.mean(axis=0)
-        blocks.append(BlockDraws(blk.name, blk.basis, coeffs))
     return PosteriorDraws(
         basis=design.basis_b,
         alpha_names=list(design.z_names),
@@ -370,7 +337,6 @@ def fit(
         prior=config.prior,
         config=config,
         y_hat=y_hat,
-        blocks=blocks,
         seed=seed,
         **store,
     )
@@ -440,7 +406,7 @@ def subsample_indices(n_draws: int, size: int | None) -> np.ndarray:
 
 ARCHIVE_FORMAT = "sofreg-draws-v2"
 # the ``PosteriorDraws`` arrays an archive keeps: every prior has the first
-# six, each prior only some of the rest
+# six, which loading requires, and each prior only some of the rest
 _ARRAY_FIELDS = (
     "coeffs", "alpha", "sigma2", "alpha_scales2", "lambda0", "y_hat",
     "h", "mu_h", "phi", "smooth_var", "local_var",
@@ -514,8 +480,6 @@ def save_draws(draws: PosteriorDraws, directory, curves: ArchivedCurves | None =
     directory.mkdir(parents=True, exist_ok=True)
     arrays = {name: getattr(draws, name) for name in _ARRAY_FIELDS}
     arrays = {name: value for name, value in arrays.items() if value is not None}
-    for blk in draws.blocks:
-        arrays[f"block:{blk.name}"] = blk.coeffs
 
     config_dict = asdict(draws.config)
     config_hash = stable_hash(
@@ -530,11 +494,10 @@ def save_draws(draws: PosteriorDraws, directory, curves: ArchivedCurves | None =
         "basis": _basis_meta(draws.basis),
         "alpha_names": list(draws.alpha_names),
         "penalized": [bool(v) for v in draws.penalized],
-        "blocks": [{"name": blk.name, "basis": _basis_meta(blk.basis)} for blk in draws.blocks],
         "arrays": {},
     }
     for name, arr in arrays.items():
-        fname = name.replace(":", "_") + ".bin"
+        fname = name + ".bin"
         arr = np.ascontiguousarray(arr, dtype="<f8")
         arr.tofile(directory / fname)
         manifest["arrays"][name] = {"file": fname, "shape": list(arr.shape)}
@@ -557,24 +520,28 @@ def load_draws(directory) -> PosteriorDraws:
     """Rebuild a ``PosteriorDraws`` from an archive directory (either format)."""
     directory = Path(directory)
     manifest = _read_manifest(directory)
+    if manifest.get("blocks"):
+        raise ValueError(
+            f"{directory}: archive holds draws of adaptive covariate blocks, "
+            "a model sofreg no longer fits"
+        )
+    listed = manifest.get("arrays") or {}
+    missing = [name for name in _ARRAY_FIELDS[:6] if name not in listed]
+    if missing:
+        raise ValueError(f"{directory}: archive manifest lacks required arrays: {', '.join(missing)}")
     arrays = {}
-    for name, meta in manifest["arrays"].items():
+    for name, meta in listed.items():
         data = np.fromfile(directory / meta["file"], dtype="<f8")
         arrays[name] = data.reshape(meta["shape"])
     config_dict = dict(manifest["config"])
     config_dict["dhs"] = DhsConfig(**config_dict["dhs"])
     config = FitConfig(**config_dict)
-    blocks = [
-        BlockDraws(bm["name"], _basis_from_meta(bm["basis"]), arrays[f"block:{bm['name']}"])
-        for bm in manifest["blocks"]
-    ]
     return PosteriorDraws(
         basis=_basis_from_meta(manifest["basis"]),
         alpha_names=list(manifest["alpha_names"]),
         penalized=np.array(manifest["penalized"], dtype=bool),
         prior=manifest["prior"],
         config=config,
-        blocks=blocks,
         seed=manifest.get("seed"),
         **{name: arrays[name] for name in _ARRAY_FIELDS[:6]},
         **{name: arrays.get(name) for name in _ARRAY_FIELDS[6:]},

@@ -53,32 +53,30 @@ def prior_draw(core: _GibbsCore, rng: np.random.Generator) -> None:
     intercept prior has no generative counterpart.
     """
     cfg = core.config
-    for name in core.spline_names:
-        scales = core.scales[name]
-        m = core.diff_op[name].shape[0] - 2
-        scales.lambda0 = 1.0 / math.sqrt(rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate))
-        if cfg.prior == "dhs":
-            scales.dhs_state = DhsState(
-                h=np.zeros(m),
-                mu_h=float(sample_z_dist(0.5, 0.5, rng)),
-                phi=2.0 * rng.beta(cfg.dhs.phi_a, cfg.dhs.phi_b) - 1.0,
-                indicators=np.zeros(m, dtype=int),
-                xi=np.full(m, polya_gamma_mean(0.0)),
-                xi_mu=polya_gamma_mean(0.0),
-            )
-        elif cfg.prior == "pspline":
-            scales.smooth_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate)
-        else:
-            scales.local_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate, size=m)
-    p = core.mats["alpha"].shape[1]
-    core.alpha_scales2 = 1.0 / rng.gamma(cfg.var_shape, 1.0 / cfg.var_rate, size=p)
+    scales = core.scales
+    m = core.diff_op.shape[0] - 2
+    scales.lambda0 = 1.0 / math.sqrt(rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate))
+    if cfg.prior == "dhs":
+        scales.dhs_state = DhsState(
+            h=np.zeros(m),
+            mu_h=float(sample_z_dist(0.5, 0.5, rng)),
+            phi=2.0 * rng.beta(cfg.dhs.phi_a, cfg.dhs.phi_b) - 1.0,
+            indicators=np.zeros(m, dtype=int),
+            xi=np.full(m, polya_gamma_mean(0.0)),
+            xi_mu=polya_gamma_mean(0.0),
+        )
+    elif cfg.prior == "pspline":
+        scales.smooth_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate)
+    else:
+        scales.local_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate, size=m)
+    core.alpha_scales2 = 1.0 / rng.gamma(cfg.var_shape, 1.0 / cfg.var_rate, size=core.alpha.size)
     core.sigma2 = 1.0 / rng.gamma(cfg.var_shape, 1.0 / cfg.var_rate)
     refresh_latents_from_prior(core, rng)
 
 
 def simulate_y(core: _GibbsCore, rng: np.random.Generator) -> np.ndarray:
     """Generate a response vector from the current parameters of ``core``."""
-    mean = sum(core.mats[name] @ core.theta[name] for name in core.names)
+    mean = core.x @ core.beta + core.z @ core.alpha
     return mean + math.sqrt(core.sigma2) * rng.standard_normal(core.n)
 
 
@@ -96,19 +94,16 @@ def refresh_latents_from_prior(core: _GibbsCore, rng: np.random.Generator) -> No
     cfg = core.config
     if not np.all(core.design.penalized):
         raise ValueError("prior simulation requires all scalar columns penalized")
-    for name in core.spline_names:
-        scales = core.scales[name]
-        dop = core.diff_op[name]
-        if cfg.prior == "dhs":
-            prior_step(scales.dhs_state, cfg.dhs, rng)
-        lam = scales.variance_vector(cfg.prior, dop.shape[0])
-        core.theta[name] = np.linalg.solve(dop, np.sqrt(lam) * rng.standard_normal(lam.size))
-        if cfg.prior == "dhs":
-            d2 = (dop @ core.theta[name])[1:-1]
-            state = scales.dhs_state
-            state.indicators = sample_mixture_indicators(d2, state.h, rng)
-    p = core.mats["alpha"].shape[1]
-    core.theta["alpha"] = np.sqrt(core.alpha_scales2) * rng.standard_normal(p)
+    scales, dop = core.scales, core.diff_op
+    if cfg.prior == "dhs":
+        prior_step(scales.dhs_state, cfg.dhs, rng)
+    lam = scales.variance_vector(cfg.prior, dop.shape[0])
+    core.beta = np.linalg.solve(dop, np.sqrt(lam) * rng.standard_normal(lam.size))
+    if cfg.prior == "dhs":
+        d2 = (dop @ core.beta)[1:-1]
+        state = scales.dhs_state
+        state.indicators = sample_mixture_indicators(d2, state.h, rng)
+    core.alpha = np.sqrt(core.alpha_scales2) * rng.standard_normal(core.alpha.size)
 
 
 def prior_parameter_draws(
@@ -124,8 +119,8 @@ def prior_parameter_draws(
         prior_draw(core, rng)
         out["sigma2"][i] = core.sigma2
         if config.prior == "dhs":
-            out["phi"][i] = core.scales["beta"].dhs_state.phi
-            out["mu_h"][i] = core.scales["beta"].dhs_state.mu_h
+            out["phi"][i] = core.scales.dhs_state.phi
+            out["mu_h"][i] = core.scales.dhs_state.mu_h
     return out
 
 
@@ -158,8 +153,8 @@ def successive_conditional_draws(
         if it % thin == 0 and s < kept:
             out["sigma2"][s] = core.sigma2
             if config.prior == "dhs":
-                out["phi"][s] = core.scales["beta"].dhs_state.phi
-                out["mu_h"][s] = core.scales["beta"].dhs_state.mu_h
+                out["phi"][s] = core.scales.dhs_state.phi
+                out["mu_h"][s] = core.scales.dhs_state.mu_h
             s += 1
         # decouples the latents from the simulated response, which
         # otherwise anchor each other and stall the chain

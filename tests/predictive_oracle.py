@@ -10,22 +10,9 @@ import numpy as np
 from sofreg.gibbs import subsample_indices
 
 
-def block_fit_draws(draws, design, idx):
-    """Summed fit of the adaptive covariate blocks at draws ``idx``; None without blocks."""
-    parts = None
-    for blk in draws.blocks:
-        for dblk in design.adaptive_blocks:
-            if dblk.name == blk.name:
-                term = blk.coeffs[idx] @ dblk.design.T
-                parts = term if parts is None else parts + term
-    return parts
-
-
 def predictive_means(draws, design, idx):
-    """Fitted response at draws ``idx``: curve, scalar and adaptive-block fits (draws x n)."""
-    mean = draws.coeffs[idx] @ design.scores.T + draws.alpha[idx] @ design.z.T
-    blocks = block_fit_draws(draws, design, idx)
-    return mean if blocks is None else mean + blocks
+    """Fitted response at draws ``idx``: curve and scalar fits (draws x n)."""
+    return draws.coeffs[idx] @ design.scores.T + draws.alpha[idx] @ design.z.T
 
 
 def predictive_draws(draws, design, rng, size=1000):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -109,18 +110,18 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
         core.sweep(warm)
 
     # freeze the pre-sweep state
-    theta0 = {name: core.theta[name].copy() for name in core.names}
-    lam = core.scales["beta"].variance_vector(prior, k).copy()
+    alpha0 = core.alpha.copy()
+    lam = core.scales.variance_vector(prior, k).copy()
     sigma2 = core.sigma2
     alpha_scales2 = core.alpha_scales2.copy()
-    dhs_state0 = copy.deepcopy(core.scales["beta"].dhs_state) if prior == "dhs" else None
+    dhs_state0 = copy.deepcopy(core.scales.dhs_state) if prior == "dhs" else None
 
     rng_live = np.random.default_rng(123)
     rng_replay = np.random.default_rng(123)
     core.sweep(rng_live)
 
     dop = second_difference_matrix(k)
-    fitted = {"beta": design.scores @ theta0["beta"], "alpha": design.z @ theta0["alpha"]}
+    fitted = {"alpha": design.z @ alpha0}
 
     def dense_gaussian(x, prior_prec, resid, rng):
         prec = x.T @ x / sigma2 + prior_prec
@@ -136,14 +137,14 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
         rng_replay,
     )
     fitted["beta"] = design.scores @ beta_new
-    assert np.max(np.abs(core.theta["beta"] - beta_new)) < 1e-8, "functional block"
+    assert np.max(np.abs(core.beta - beta_new)) < 1e-8, "functional block"
 
     prior_prec_alpha = np.diag(np.where(design.penalized, 1.0 / alpha_scales2, 0.0))
     alpha_new = dense_gaussian(
         design.z, prior_prec_alpha, design.y - fitted["beta"], rng_replay
     )
     fitted["alpha"] = design.z @ alpha_new
-    assert np.max(np.abs(core.theta["alpha"] - alpha_new)) < 1e-8, "scalar block"
+    assert np.max(np.abs(core.alpha - alpha_new)) < 1e-8, "scalar block"
 
     d2 = (dop @ beta_new)[1:-1]
     if prior == "dhs":
@@ -153,16 +154,16 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
     elif prior == "pspline":
         rate = cfg.scale_rate + 0.5 * float(d2 @ d2)
         smooth = 1.0 / rng_replay.gamma(cfg.scale_shape + 0.5 * d2.size, 1.0 / rate)
-        assert abs(core.scales["beta"].smooth_var - smooth) < 1e-8 * smooth, "global scale"
+        assert abs(core.scales.smooth_var - smooth) < 1e-8 * smooth, "global scale"
     else:
         rates = cfg.scale_rate + 0.5 * d2**2
         local = 1.0 / rng_replay.gamma(cfg.scale_shape + 0.5, 1.0 / rates)
-        err = np.max(np.abs(core.scales["beta"].local_var - local) / local)
+        err = np.max(np.abs(core.scales.local_var - local) / local)
         assert err < 1e-8, "local scales"
 
     rate0 = cfg.scale_rate + 0.5 * (beta_new[0] ** 2 + beta_new[-1] ** 2)
     lam0 = 1.0 / math.sqrt(rng_replay.gamma(cfg.scale_shape + 1.0, 1.0 / rate0))
-    assert abs(core.scales["beta"].lambda0 - lam0) < 1e-8 * lam0, "boundary scale"
+    assert abs(core.scales.lambda0 - lam0) < 1e-8 * lam0, "boundary scale"
 
     pen = design.penalized
     rates_a = cfg.var_rate + 0.5 * alpha_new[pen] ** 2
@@ -513,14 +514,14 @@ def test_criterion_06_linear_scaling_in_n():
             setup_rounds[r, j] = time.perf_counter() - t0
             core.init_from_data()
             scale_time = [0.0]
-            update_scales = core._update_spline_scales
+            update_scales = core._update_scales
 
-            def timed_update(name, rng, update_scales=update_scales, scale_time=scale_time):
+            def timed_update(rng, update_scales=update_scales, scale_time=scale_time):
                 t0 = time.perf_counter()
-                update_scales(name, rng)
+                update_scales(rng)
                 scale_time[0] += time.perf_counter() - t0
 
-            core._update_spline_scales = timed_update
+            core._update_scales = timed_update
             rng = np.random.default_rng(3)
             for i in range(sweep_times.size):
                 scale_time[0] = 0.0
@@ -563,13 +564,15 @@ class _Untouchable:
 def test_sweep_touches_no_subject_sized_array():
     # the deterministic half of criterion 6: on a loosely fitting design (pure
     # noise response, so the residual sum of squares never cancels) sweeps run
-    # without the design matrices or the response
-    design = toy_design(adaptive=True, seed=3)
+    # without the design matrices or the response; of the design, only the
+    # scalar columns' penalty mask is left
+    design = toy_design(seed=3)
     for prior in ("dhs", "pspline", "local-pspline"):
         core = _GibbsCore(design, FitConfig(prior=prior, burnin=1, draws=1))
         core.set_y(design.y)
         core.init_from_data()
-        core.mats, core.y = _Untouchable(), _Untouchable()
+        core.x, core.z, core.y = _Untouchable(), _Untouchable(), _Untouchable()
+        core.design = SimpleNamespace(penalized=design.penalized)
         rng = np.random.default_rng(8)
         for it in range(50):
             core.sweep(rng)

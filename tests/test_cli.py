@@ -27,7 +27,7 @@ from sofreg import cli
 from sofreg.cli import main, read_table
 from sofreg.dhs import DhsConfig
 from sofreg.funcdata import CurveSet, read_curves, read_scalars, write_curves, write_scalars
-from sofreg.gibbs import FitConfig, load_curves, load_draws, stable_hash
+from sofreg.gibbs import FitConfig, effective_sample_size, load_curves, load_draws, stable_hash
 from sofreg.methods import MethodSettings
 from sofreg.simulate import GpSettings, LocallyConstantTruth, SimulationDesign
 
@@ -287,8 +287,12 @@ def test_fit_report_has_sampler_diagnostics(pipeline_dirs):
     assert sampler["sweeps"] == 160  # 80 burn-in + 80 kept
     assert sampler["sweeps_per_s"] > 0.0
     # a dhs fit: the scale process's persistence and level have ESS too
-    assert set(sampler["ess"]) == {"sigma2", "phi", "mu_h", "beta_min"}
+    assert set(sampler["ess"]) == {"sigma2", "phi", "mu_h", "beta_min", "alpha_min"}
     assert all(0.0 < v for v in sampler["ess"].values())
+    # the only scalar column is the intercept: its ESS is alpha's least
+    draws = load_draws(fit_dir / "archive")
+    assert draws.alpha_names == ["(intercept)"]
+    assert sampler["ess"]["alpha_min"] == float(effective_sample_size(draws.alpha)[0])
 
 
 def test_fit_default_sampler_lengths():
@@ -424,7 +428,58 @@ def test_summarize_rejects_mismatched_scalars(pipeline_dirs, tmp_path, capsys):
         ]
     )
     assert code == cli.EXIT_CONFIG
-    assert "archived fit" in capsys.readouterr().err
+    assert "scalar columns do not match the archived fit" in capsys.readouterr().err
+
+
+def test_fit_and_summarize_with_a_numeric_and_a_string_covariate(pipeline_dirs, tmp_path, capsys):
+    root, sim, _, _ = pipeline_dirs
+    ids, y, _ = read_scalars(sim / "scalars_rep000.csv")
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(sim / "curves_rep000.csv", data / "curves_rep000.csv")
+    covariates = {"x": np.linspace(-1.0, 2.0, len(ids)), "group": ["a", "b", "c", "b"] * 3 + ["a", "c"]}
+    write_scalars(data / "scalars_rep000.csv", ids, y, covariates)
+    fit_dir = tmp_path / "fit"
+    fit_cfg = write_config(
+        tmp_path / "fit.yaml",
+        {"basis": {"curve_size": 8, "coef_size": 8}, "sampler": {"prior": "pspline", "burnin": 20, "draws": 20}},
+    )
+    argv = ["fit", "--config", fit_cfg, "--curves", str(data / "curves_rep000.csv")]
+    argv += ["--scalars", str(data / "scalars_rep000.csv"), "--out-dir", str(fit_dir)]
+    assert run(argv) == 0
+    draws = load_draws(fit_dir / "archive")
+    assert draws.alpha_names == ["x", "group=b", "group=c", "(intercept)"]
+    assert draws.penalized.tolist() == [True, True, True, False]
+    assert run(_summarize_argv(root, data, fit_dir, tmp_path / "summ")) == 0
+    assert (tmp_path / "summ" / "windows.csv").exists()
+
+    # the same subjects without the string covariate give other scalar columns
+    write_scalars(data / "scalars_rep000.csv", ids, y, {"x": covariates["x"]})
+    capsys.readouterr()
+    assert run(_summarize_argv(root, data, fit_dir, tmp_path / "out")) == cli.EXIT_CONFIG
+    assert "scalar columns do not match the archived fit" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "path_table.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "damage, problem",
+    [
+        (lambda m: m["arrays"].pop("sigma2"), "lacks required arrays: sigma2"),
+        (lambda m: m.update(blocks=[{"name": "g"}]), "adaptive covariate blocks"),
+    ],
+    ids=["missing-array", "blocks"],
+)
+def test_summarize_rejects_a_damaged_archive_naming_it(pipeline_dirs, tmp_path, capsys, damage, problem):
+    root, sim, fit_dir, _ = pipeline_dirs
+    damaged = tmp_path / "fit"
+    shutil.copytree(fit_dir / "archive", damaged / "archive")
+    manifest_path = damaged / "archive" / "manifest.yaml"
+    manifest = yaml.safe_load(manifest_path.read_text())
+    damage(manifest)
+    manifest_path.write_text(yaml.safe_dump(manifest, sort_keys=True))
+    assert run(_summarize_argv(root, sim, damaged, tmp_path / "out")) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(damaged / "archive") in err and problem in err
 
 
 def _summarize_cells(sim, fit_dir, tmp_path, cells):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sofreg.basis import BSplineBasis, Domain, cross_gram, integrate_basis
+from sofreg.basis import BSplineBasis, Domain, cross_gram, eval_basis_matrix, integrate_basis
 from sofreg.decision import (
     AggregatedDesign,
     LocallyConstantEstimate,
@@ -41,12 +41,11 @@ from sofreg import decision
 from sofreg.funcdata import (
     CoefCurve,
     CurveObservation,
-    SplineTerm,
     build_design,
     fit_curves,
     functional_scores,
 )
-from sofreg.gibbs import BlockDraws, FitConfig, PosteriorDraws, subsample_indices
+from sofreg.gibbs import FitConfig, PosteriorDraws, subsample_indices
 
 from predictive_oracle import predictive_draws, predictive_means
 
@@ -403,19 +402,16 @@ def _loss_problem(rng, n, k, p, s, deltas, sigma2=0.25):
     """A design, posterior and path whose entries are the given step levels.
 
     The design is a namespace with only what the pricing reads: the
-    scalar covariates, curve scores and (no) adaptive blocks.
+    scalar covariates and the curve scores.
     """
     a = rng.standard_normal((n, k))
     agg = AggregatedDesign(matrix=a, partition=Partition.regular(Domain(0.0, 1.0), k))
     q = 4
-    design = SimpleNamespace(
-        z=rng.standard_normal((n, p)), scores=rng.standard_normal((n, q)), adaptive_blocks=[]
-    )
+    design = SimpleNamespace(z=rng.standard_normal((n, p)), scores=rng.standard_normal((n, q)))
     draws = SimpleNamespace(
         coeffs=rng.standard_normal((s, q)),
         alpha=rng.standard_normal((s, p)),
         sigma2=np.full(s, sigma2),
-        blocks=[],
         n_draws=s,
     )
     deltas = np.asarray(deltas, dtype=float)
@@ -795,8 +791,10 @@ def test_window_grouping_matches_loop_oracles():
 def _fabricated_fit(rng, n=40, k_cells=12, n_blocks=0):
     """A posterior concentrated on a three-level step effect, without running a sampler.
 
-    ``n_blocks`` adds that many spline-expanded covariates, each an adaptive
-    block with its own coefficient draws.
+    ``n_blocks`` adds to the fitted values that many smooth effects of
+    uniform covariates, splines with their own coefficient draws, which the
+    model has no term for.  Their summed fit at the mean coefficients comes
+    last (0 without them), for a test to take off the response and targets.
     """
     basis = BSplineBasis(Domain(0.0, 1.0), 10, 3)
     curves = []
@@ -813,21 +811,20 @@ def _fabricated_fit(rng, n=40, k_cells=12, n_blocks=0):
     agg = aggregate(curves, part)
     delta_true = np.repeat([1.5, 0.0, -1.0], k_cells // 3 + 1)[:k_cells]
     y = agg.matrix @ delta_true + 0.3 * rng.standard_normal(n)
-    names = [f"u{j}" for j in range(n_blocks)]
-    scalars = {name: rng.uniform(0.0, 1.0, n) for name in names}
-    rules = [SplineTerm(name, size=5 + j) for j, name in enumerate(names)]
-    design = build_design(curves, basis, y, scalars, rules)
+    covariates = [rng.uniform(0.0, 1.0, n) for _ in range(n_blocks)]
+    design = build_design(curves, basis, y)
     s = 300
     theta = 0.02 * rng.standard_normal((s, basis.size))
     alpha = 0.05 * rng.standard_normal((s, design.z.shape[1]))
     fitted = agg.matrix @ delta_true
-    blocks = []
-    for blk in design.adaptive_blocks:
-        coeffs = 0.2 * rng.standard_normal(blk.basis.size) + 0.02 * rng.standard_normal(
-            (s, blk.basis.size)
+    block_fits = []
+    for j, u in enumerate(covariates):
+        block_basis = BSplineBasis(Domain(float(u.min()), float(u.max())), 5 + j, 3)
+        coeffs = 0.2 * rng.standard_normal(block_basis.size) + 0.02 * rng.standard_normal(
+            (s, block_basis.size)
         )
-        blocks.append(BlockDraws(name=blk.name, basis=blk.basis, coeffs=coeffs))
-        fitted = fitted + blk.design @ coeffs.mean(axis=0)
+        block_fits.append(eval_basis_matrix(block_basis, u) @ coeffs.mean(axis=0))
+        fitted = fitted + block_fits[-1]
     draws = PosteriorDraws(
         coeffs=theta,
         basis=basis,
@@ -840,15 +837,14 @@ def _fabricated_fit(rng, n=40, k_cells=12, n_blocks=0):
         prior="dhs",
         config=FitConfig(),
         y_hat=fitted + design.z @ alpha.mean(axis=0),
-        blocks=blocks,
         seed=0,
     )
-    return curves, part, agg, y, design, draws, delta_true
+    return curves, part, agg, y, design, draws, delta_true, sum(block_fits)
 
 
 def test_evaluate_path_grid_is_subsampled_with_endpoints():
     rng = np.random.default_rng(19)
-    curves, part, agg, y, design, draws, _ = _fabricated_fit(rng, n=45, k_cells=15)
+    curves, part, agg, y, design, draws, _, _ = _fabricated_fit(rng, n=45, k_cells=15)
     targets = draws.y_hat - design.z @ draws.alpha.mean(axis=0)
     path = fused_lasso_path(targets, agg)
     diag = evaluate_path(
@@ -863,7 +859,7 @@ def test_evaluate_path_grid_is_subsampled_with_endpoints():
 
 def test_analyze_recovers_block_structure_end_to_end():
     rng = np.random.default_rng(20)
-    curves, part, agg, y, design, draws, delta_true = _fabricated_fit(rng)
+    curves, part, agg, y, design, draws, delta_true, _ = _fabricated_fit(rng)
     summary = analyze(
         draws,
         design,
@@ -892,8 +888,9 @@ def test_analyze_recovers_block_structure_end_to_end():
 
 
 def test_pipeline_without_scalar_covariates_matches_direct_path():
-    # with no covariates the adjusted pseudo-data are the fitted values,
-    # so the pipeline reduces to a direct fused-lasso on them
+    # with no covariates and intercept draws of zero the adjusted pseudo-data
+    # are the fitted values, so the pipeline reduces to a direct fused-lasso
+    # on them
     rng = np.random.default_rng(21)
     basis = BSplineBasis(Domain(0.0, 1.0), 8, 3)
     curves = [
@@ -908,17 +905,17 @@ def test_pipeline_without_scalar_covariates_matches_direct_path():
     part = Partition.regular(Domain(0.0, 1.0), 6)
     agg = aggregate(curves, part)
     y = rng.standard_normal(25)
-    design = build_design(curves, basis, y, include_intercept=False)
-    assert design.z.shape == (25, 0)
+    design = build_design(curves, basis, y)
+    assert design.z_names == ["(intercept)"]
     s = 50
     draws = PosteriorDraws(
         coeffs=0.1 * rng.standard_normal((s, basis.size)),
         basis=basis,
-        alpha=np.zeros((s, 0)),
-        alpha_names=[],
+        alpha=np.zeros((s, 1)),
+        alpha_names=design.z_names,
         penalized=design.penalized,
         sigma2=np.full(s, 0.04),
-        alpha_scales2=np.ones((s, 0)),
+        alpha_scales2=np.ones((s, 1)),
         lambda0=np.ones(s),
         prior="dhs",
         config=FitConfig(),
@@ -933,14 +930,8 @@ def test_pipeline_without_scalar_covariates_matches_direct_path():
 
 def _direct_pricing(diag, y, y_pred, draws, design, agg, idx):
     """The loss of every entry at every replicate, summed out one entry at a time."""
-    block_fit = sum(
-        blk.coeffs @ dblk.design.T
-        for blk, dblk in zip(draws.blocks, design.adaptive_blocks)
-    )
-    mean_block = block_fit.mean(axis=0) if draws.blocks else 0.0
-    block_fit = block_fit[idx] if draws.blocks else 0.0
-    adj = y - design.z @ draws.alpha.mean(axis=0) - mean_block
-    adj_pred = y_pred - draws.alpha[idx] @ design.z.T - block_fit
+    adj = y - design.z @ draws.alpha.mean(axis=0)
+    adj_pred = y_pred - draws.alpha[idx] @ design.z.T
     emp = np.empty(diag.lambdas.size)
     pred = np.empty((diag.lambdas.size, idx.size))
     for i, delta in enumerate(diag.deltas):
@@ -955,13 +946,14 @@ def _direct_pricing(diag, y, y_pred, draws, design, agg, idx):
 def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
     rng = np.random.default_rng(24)
     # 20 cells on a 10-function curve basis: rank(A) <= 10 < 20
-    curves, part, agg, y, design, draws, _ = _fabricated_fit(rng, n=60, k_cells=20, n_blocks=2)
+    curves, part, agg, y, design, draws, _, block_fit = _fabricated_fit(
+        rng, n=60, k_cells=20, n_blocks=2
+    )
     assert np.linalg.matrix_rank(agg.matrix) < part.size
     targets = draws.y_hat - design.z @ draws.alpha.mean(axis=0)
-    targets = targets - sum(
-        blk.design @ bd.coeffs.mean(axis=0) for blk, bd in zip(design.adaptive_blocks, draws.blocks)
-    )
+    targets = targets - block_fit
     path = fused_lasso_path(targets, agg)
+    y = y - block_fit
     diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(3), pred_draws=120)
     idx = subsample_indices(draws.n_draws, 120)
     y_pred = _span_replicates(draws, design, agg, 3, 120)
@@ -995,11 +987,12 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
 
 
 def test_analyze_memory_does_not_scale_with_draws_times_n():
-    # the block fits are taken at the mean block coefficients: fits per
-    # draw would hold a 300 x 2000 matrix per block, 4.8 MB each
+    # a fit per draw would hold a 300 x 2000 matrix, 4.8 MB
     rng = np.random.default_rng(23)
-    curves, part, _, y, design, draws, _ = _fabricated_fit(rng, n=2000, k_cells=9, n_blocks=2)
-    assert len(design.adaptive_blocks) == 2
+    curves, part, _, y, design, draws, _, block_fit = _fabricated_fit(
+        rng, n=2000, k_cells=9, n_blocks=2
+    )
+    y = y - block_fit
     tracemalloc.start()
     try:
         analyze(draws, design, curves, part, y, np.random.default_rng(4), pred_draws=30)

@@ -10,13 +10,9 @@ import pytest
 from sofreg import cli, funcdata
 from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix
 from sofreg.funcdata import (
-    Categorical,
     CoefSet,
     CurveObservation,
     CurveSet,
-    Linear,
-    PiecewiseLinear,
-    SplineTerm,
     build_design,
     fit_curves,
     functional_scores,
@@ -123,25 +119,22 @@ def _toy_design(n=20, seed=0, **kwargs):
 
 def test_continuous_expanded_columns_are_standardized():
     curves, basis_b, y, rng, _ = _toy_design()
-    scalars = {"age": rng.uniform(20, 40, 20), "dose": rng.normal(size=20)}
-    rules = [PiecewiseLinear("age", (25.0, 32.0)), Linear("dose")]
-    design = build_design(curves, basis_b, y, scalars, rules)
-    # columns: age, age hinges, dose, intercept
-    assert design.z_names == ["age", "age:hinge@25", "age:hinge@32", "dose", "(intercept)"]
+    scalars = {"age": rng.uniform(20, 40, 20), "dose": rng.normal(size=20), "visits": np.arange(20)}
+    design = build_design(curves, basis_b, y, scalars)
+    assert design.z_names == ["age", "dose", "visits", "(intercept)"]
     for j, name in enumerate(design.z_names[:-1]):
-        col = design.z[:, j]
+        col, raw = design.z[:, j], scalars[name]
         assert abs(col.mean()) < 1e-10
         assert abs(col.std(ddof=1) - 1.0) < 1e-10
-        mean, sd = design.scaling[name]
-        if name == "age:hinge@25":
-            assert np.max(np.abs(col * sd + mean - np.maximum(scalars["age"] - 25.0, 0))) < 1e-10
-    assert design.penalized.tolist() == [True, True, True, True, False]
+        assert np.max(np.abs(col * raw.std(ddof=1) + raw.mean() - raw)) < 1e-10
+    assert np.array_equal(design.z[:, -1], np.ones(20))
+    assert design.penalized.tolist() == [True, True, True, False]
 
 
 def test_categorical_dummy_coding_drops_first_sorted_level():
     curves, basis_b, y, rng, _ = _toy_design()
     group = np.array(["b", "a", "c", "a"] * 5)
-    design = build_design(curves, basis_b, y, {"group": group}, [Categorical("group")])
+    design = build_design(curves, basis_b, y, {"group": group})
     assert design.z_names == ["group=b", "group=c", "(intercept)"]
     assert set(np.unique(design.z[:, 0])) == {0.0, 1.0}
     assert np.array_equal(design.z[:, 0], (group == "b").astype(float))
@@ -155,28 +148,16 @@ def test_default_rules_infer_numeric_and_categorical():
     assert design.z_names == ["dose", "group=y", "(intercept)"]
 
 
-def test_spline_term_becomes_adaptive_block():
-    curves, basis_b, y, rng, _ = _toy_design()
-    w = rng.uniform(0, 10, 20)
-    design = build_design(
-        curves, basis_b, y, {"w": w}, [SplineTerm("w", size=7)]
-    )
-    assert design.z_names == ["(intercept)"]
-    assert len(design.adaptive_blocks) == 1
-    block = design.adaptive_blocks[0]
-    assert block.design.shape == (20, 7)
-    assert np.allclose(block.design.sum(axis=1), 1.0)  # partition of unity rows
-    assert block.basis.domain.lo == w.min() and block.basis.domain.hi == w.max()
-
-
 def test_build_design_validations():
     curves, basis_b, y, rng, _ = _toy_design()
     with pytest.raises(ValueError, match="responses"):
         build_design(curves, basis_b, y[:-1])
     with pytest.raises(ValueError, match="non-finite"):
-        build_design(curves, basis_b, y, {"bad": np.r_[np.nan, np.ones(19)]}, [Linear("bad")])
-    with pytest.raises(ValueError, match="not provided"):
-        build_design(curves, basis_b, y, {}, [Linear("missing")])
+        build_design(curves, basis_b, y, {"bad": np.r_[np.nan, np.ones(19)]})
+    with pytest.raises(ValueError, match="expected 20 values"):
+        build_design(curves, basis_b, y, {"short": np.ones(19)})
+    with pytest.raises(ValueError, match="at least two levels"):
+        build_design(curves, basis_b, y, {"one": np.array(["a"] * 20)})
     dup = [curves[0]] + curves[:-1]
     with pytest.raises(ValueError, match="duplicate"):
         build_design(dup, basis_b, y)

@@ -35,7 +35,7 @@ from geweke import prior_draw, prior_parameter_draws, successive_conditional_dra
 from predictive_oracle import predictive_draws, predictive_means
 
 
-def toy_design(n=40, k=6, p=2, seed=0, intercept=True, adaptive=False):
+def toy_design(n=40, k=6, p=2, seed=0, intercept=True):
     rng = np.random.default_rng(seed)
     basis = BSplineBasis(Domain(0.0, 1.0), k, 3)
     z_cols = p + (1 if intercept else 0)
@@ -46,14 +46,6 @@ def toy_design(n=40, k=6, p=2, seed=0, intercept=True, adaptive=False):
         z = np.column_stack([z, np.ones(n)])
         names.append("(intercept)")
         penalized.append(False)
-    blocks = []
-    if adaptive:
-        from sofreg.funcdata import AdaptiveBlock
-
-        bb = BSplineBasis(Domain(0.0, 1.0), 5, 2)
-        from sofreg.basis import eval_basis_matrix
-
-        blocks = [AdaptiveBlock("g", bb, eval_basis_matrix(bb, rng.uniform(0, 1, n)))]
     return RegressionDesign(
         y=rng.normal(size=n),
         scores=rng.normal(size=(n, k)) * 0.7,
@@ -62,7 +54,6 @@ def toy_design(n=40, k=6, p=2, seed=0, intercept=True, adaptive=False):
         z_names=names,
         penalized=np.array(penalized, dtype=bool),
         subject_ids=[f"s{i}" for i in range(n)],
-        adaptive_blocks=blocks,
     )
 
 
@@ -117,8 +108,8 @@ def test_gaussian_precision_jitter_retry_and_failure(caplog):
 # --- block conditionals against dense formulas --------------------------------
 
 
-def _prepared_core(adaptive=False):
-    design = toy_design(adaptive=adaptive, seed=3)
+def _prepared_core():
+    design = toy_design(seed=3)
     config = FitConfig(prior="dhs", burnin=5, draws=5)
     core = _GibbsCore(design, config)
     core.set_y(design.y)
@@ -130,20 +121,20 @@ def _prepared_core(adaptive=False):
 
 
 def test_functional_block_conditional_matches_dense_oracle():
-    design, core = _prepared_core(adaptive=True)
+    design, core = _prepared_core()
     x = design.scores
-    others = design.z @ core.theta["alpha"] + design.adaptive_blocks[0].design @ core.theta["g"]
+    others = design.z @ core.alpha
     dop = second_difference_matrix(design.basis_b.size)
-    lam = core.scales["beta"].variance_vector("dhs", design.basis_b.size)
+    lam = core.scales.variance_vector("dhs", design.basis_b.size)
     prec = x.T @ x / core.sigma2 + dop.T @ np.diag(1.0 / lam) @ dop
     lin = x.T @ (design.y - others) / core.sigma2
 
     seed_rng = np.random.default_rng(91)
-    core._draw_block("beta", seed_rng)
+    core._draw_beta(seed_rng)
     z = np.random.default_rng(91).standard_normal(design.basis_b.size)
     chol = np.linalg.cholesky(prec)
     want = np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
-    assert np.max(np.abs(core.theta["beta"] - want)) < 1e-8
+    assert np.max(np.abs(core.beta - want)) < 1e-8
 
 
 def test_scalar_block_conditional_flat_intercept_and_oracle():
@@ -153,13 +144,13 @@ def test_scalar_block_conditional_flat_intercept_and_oracle():
         [1.0 / core.alpha_scales2[0], 1.0 / core.alpha_scales2[1], 0.0]
     )  # flat prior on the intercept contributes zero precision
     prec = z_mat.T @ z_mat / core.sigma2 + prior_prec
-    lin = z_mat.T @ (design.y - design.scores @ core.theta["beta"]) / core.sigma2
+    lin = z_mat.T @ (design.y - design.scores @ core.beta) / core.sigma2
     seed_rng = np.random.default_rng(92)
-    core._draw_block("alpha", seed_rng)
+    core._draw_alpha(seed_rng)
     z = np.random.default_rng(92).standard_normal(3)
     chol = np.linalg.cholesky(prec)
     want = np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
-    assert np.max(np.abs(core.theta["alpha"] - want)) < 1e-8
+    assert np.max(np.abs(core.alpha - want)) < 1e-8
 
 
 def test_variance_conditionals_match_inverse_gamma():
@@ -168,8 +159,8 @@ def test_variance_conditionals_match_inverse_gamma():
     cfg = core.config
     sig_draws = np.empty(20_000)
     scale_draws = np.empty(20_000)
-    theta_alpha = core.theta["alpha"].copy()
-    resid = design.y - design.scores @ core.theta["beta"] - design.z @ theta_alpha
+    theta_alpha = core.alpha.copy()
+    resid = design.y - design.scores @ core.beta - design.z @ theta_alpha
     for i in range(20_000):
         rate = cfg.var_rate + 0.5 * float(resid @ resid)
         sig_draws[i] = 1.0 / rng.gamma(cfg.var_shape + 0.5 * design.n, 1.0 / rate)
@@ -192,11 +183,11 @@ def test_smoothing_scale_conditionals_for_pspline_variants():
         core = _GibbsCore(design, config)
         core.set_y(design.y)
         core.init_from_data()
-        d2 = (second_difference_matrix(design.basis_b.size) @ core.theta["beta"])[1:-1]
+        d2 = (second_difference_matrix(design.basis_b.size) @ core.beta)[1:-1]
         draws = []
         for _ in range(20_000):
-            core._update_spline_scales("beta", rng)
-            scales = core.scales["beta"]
+            core._update_scales(rng)
+            scales = core.scales
             draws.append(scales.smooth_var if prior == "pspline" else scales.local_var[0])
         draws = np.array(draws)
         if prior == "pspline":
@@ -346,7 +337,7 @@ def quick_config(prior="dhs", **kw):
 
 
 def test_fit_shapes_and_prior_specific_fields():
-    design = toy_design(adaptive=True, seed=11)
+    design = toy_design(seed=11)
     draws = fit(design, quick_config(), seed=1)
     assert draws.coeffs.shape == (300, 6)
     assert draws.alpha.shape == (300, 3)
@@ -355,8 +346,6 @@ def test_fit_shapes_and_prior_specific_fields():
     assert np.all(draws.sigma2 > 0) and np.all(draws.lambda0 > 0)
     assert np.all(np.abs(draws.phi) < 1)
     assert draws.y_hat.shape == (40,)
-    assert [blk.name for blk in draws.blocks] == ["g"]
-    assert draws.blocks[0].coeffs.shape == (300, 5)
     assert np.all(np.isinf(draws.alpha_scales2[:, -1]))  # flat intercept
 
     ps = fit(toy_design(seed=11), quick_config("pspline"), seed=2)
@@ -373,9 +362,9 @@ def test_fit_thinning_keeps_every_kth():
 
 def test_fit_y_hat_is_the_mean_fit_over_kept_draws():
     # thin=3 with draws % thin != 0: the leftover sweep is not averaged in
-    design = toy_design(adaptive=True, seed=16)
+    design = toy_design(seed=16)
     draws = fit(design, FitConfig(burnin=20, draws=61, thin=3), seed=5)
-    assert draws.n_draws == 20 and len(draws.blocks) == 1
+    assert draws.n_draws == 20
     want = predictive_means(draws, design, np.arange(draws.n_draws)).mean(axis=0)
     assert np.max(np.abs(draws.y_hat - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -462,7 +451,7 @@ def test_subsample_indices_deterministic_and_bounded():
 
 
 def test_archive_round_trip(tmp_path):
-    design = toy_design(adaptive=True, seed=15)
+    design = toy_design(seed=15)
     draws = fit(design, quick_config(), seed=9)
     cfg_hash = save_draws(draws, tmp_path / "arch")
     assert len(cfg_hash) == 12
@@ -475,9 +464,6 @@ def test_archive_round_trip(tmp_path):
     assert back.basis == draws.basis
     assert back.config == draws.config
     assert back.seed == 9
-    assert [blk.name for blk in back.blocks] == ["g"]
-    assert np.array_equal(back.blocks[0].coeffs, draws.blocks[0].coeffs)
-    assert back.blocks[0].basis == draws.blocks[0].basis
 
 
 def test_archive_keeps_fitted_curves_with_their_layout(tmp_path):
@@ -523,10 +509,20 @@ def test_archive_requires_the_common_arrays_only(tmp_path):
 
     manifest_path = tmp_path / "arch" / "manifest.yaml"
     manifest = yaml.safe_load(manifest_path.read_text())
+    # an empty block list, as earlier versions wrote it, still loads
+    manifest_path.write_text(yaml.safe_dump({**manifest, "blocks": []}))
+    assert np.array_equal(load_draws(tmp_path / "arch").coeffs, back.coeffs)
+    # draws of adaptive covariate blocks, which earlier versions could archive
+    blocks = [{"name": "g", "basis": {"lo": 0.0, "hi": 1.0, "size": 5, "degree": 2}}]
+    manifest_path.write_text(yaml.safe_dump({**manifest, "blocks": blocks}))
+    with pytest.raises(ValueError, match="adaptive covariate blocks") as err:
+        load_draws(tmp_path / "arch")
+    assert str(tmp_path / "arch") in str(err.value)
     del manifest["arrays"]["sigma2"]
     manifest_path.write_text(yaml.safe_dump(manifest))
-    with pytest.raises(KeyError, match="sigma2"):
+    with pytest.raises(ValueError, match="lacks required arrays: sigma2") as err:
         load_draws(tmp_path / "arch")
+    assert str(tmp_path / "arch") in str(err.value)
 
 
 def test_archive_rejects_foreign_directory(tmp_path):
