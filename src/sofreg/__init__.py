@@ -10,7 +10,6 @@ from sofreg.basis import (
     BSplineBasis,
     Domain,
     cross_gram,
-    eval_basis,
     eval_basis_matrix,
     integrate_basis,
     second_difference_matrix,
@@ -26,7 +25,6 @@ from sofreg.decision import (
     aggregate,
     analyze,
     ci_selection,
-    ci_windows,
     evaluate_path,
     extract_windows,
     fused_lasso_path,
@@ -63,7 +61,6 @@ from sofreg.simulate import (
     SmoothTruth,
     evaluate,
     replicate_data,
-    run_study,
 )
 
 __all__ = [
@@ -92,9 +89,7 @@ __all__ = [
     "analyze",
     "build_design",
     "ci_selection",
-    "ci_windows",
     "cross_gram",
-    "eval_basis",
     "eval_basis_matrix",
     "evaluate",
     "evaluate_path",
@@ -110,7 +105,6 @@ __all__ = [
     "read_curves",
     "read_scalars",
     "replicate_data",
-    "run_study",
     "save_draws",
     "second_difference_matrix",
     "summarize_coefficient",

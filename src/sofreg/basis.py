@@ -43,9 +43,6 @@ class Domain:
     def contains(self, other: "Domain") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def contains_point(self, t: float) -> bool:
-        return self.lo <= t <= self.hi
-
     def intersect(self, other: "Domain") -> "Domain | None":
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
@@ -93,13 +90,6 @@ class BSplineBasis:
     def breakpoints(self) -> np.ndarray:
         """Distinct knots: the endpoints of the polynomial segments."""
         return np.unique(self.knots)
-
-
-def eval_basis(basis: BSplineBasis, t: float) -> np.ndarray:
-    """Evaluate all basis functions at a single point inside the domain."""
-    if not basis.domain.contains_point(t):
-        raise ValueError(f"t={t} outside domain [{basis.domain.lo}, {basis.domain.hi}]")
-    return eval_basis_matrix(basis, np.array([t]))[0]
 
 
 def _nonzero_values(basis: BSplineBasis, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

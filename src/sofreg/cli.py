@@ -84,7 +84,7 @@ class ConfigError(Exception):
 
 # --- configuration plumbing ---------------------------------------------------------
 
-_COMMON = {"seed": 0, "out_dir": ".", "threads": 1}
+_COMMON = {"seed": 0, "out_dir": "."}
 
 
 def _defaults(command: str) -> dict:
@@ -144,6 +144,7 @@ def _defaults(command: str) -> dict:
     if command == "replicate":
         return {
             **_COMMON,
+            "threads": 1,
             "study": study | {"replicates": 2},
             "methods": ["dhs"],
             "pipeline": pipeline,
@@ -448,7 +449,7 @@ def cmd_summarize(resolved: dict) -> int:
             for lam, delta in zip(diag.lambdas, diag.deltas)
         ]
     )
-    rank = _warn_on_inexact_path(summary.aggregated.matrix, kkt)
+    rank = _warn_on_inexact_path(summary.aggregated, kkt)
     report = {
         "config_hash": cfg_hash,
         "cells": partition.size,
@@ -624,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        p.add_argument("--threads", type=int, help="worker processes for replicate")
         if name in ("fit", "summarize"):
             p.add_argument("--curves", help="curve data file")
             p.add_argument("--scalars", help="response/covariate file")
@@ -636,6 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--beta-summary", dest="beta_summary", help="summary table to score")
             p.add_argument("--windows", help="windows table for the selection labels")
         if name == "replicate":
+            p.add_argument("--threads", type=int, help="worker processes")
             p.add_argument(
                 "--methods",
                 type=lambda v: [m.strip() for m in v.split(",") if m.strip()],
@@ -658,10 +659,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolved = resolve_config(args.command, args)
         return _COMMANDS[args.command](resolved)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

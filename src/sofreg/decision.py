@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from sofreg.basis import Domain, integrate_basis
-from sofreg.funcdata import CoefCurve, CoefSet, RegressionDesign
+from sofreg.funcdata import CoefSet, RegressionDesign
 from sofreg.gibbs import NumericalError, PosteriorDraws, subsample_indices
 
 log = logging.getLogger(__name__)
@@ -70,16 +70,8 @@ class Partition:
         return [Domain(float(a), float(b)) for a, b in zip(self.breaks[:-1], self.breaks[1:])]
 
 
-@dataclass(frozen=True)
-class AggregatedDesign:
-    """Per-subject integrals of the curve over each partition cell."""
-
-    matrix: np.ndarray  # (n, size)
-    partition: Partition
-
-
-def aggregate(curves: CoefSet | list[CoefCurve], partition: Partition) -> AggregatedDesign:
-    """Integrate each subject's curve over each cell of the partition.
+def aggregate(curves: CoefSet, partition: Partition) -> np.ndarray:
+    """Integrate each subject's curve over each cell: the (n, cells) aggregated design.
 
     Entries over cells disjoint from a subject's interval are zero, so row
     sums equal the subject's full-interval integral.
@@ -91,7 +83,6 @@ def aggregate(curves: CoefSet | list[CoefCurve], partition: Partition) -> Aggreg
     product would sum in another order, and the path's knots on a
     rank-deficient design move with the last bits of the matrix.
     """
-    curves = CoefSet.of(curves)
     span = partition.span
     cells = partition.cells()
     memo: dict[tuple, np.ndarray] = {}  # cell integrals by rounded intersection
@@ -113,7 +104,7 @@ def aggregate(curves: CoefSet | list[CoefCurve], partition: Partition) -> Aggreg
                 memo[key] = integrate_basis(basis, inter)
             weights[k] = memo[key]
         rows[g.rows] = np.vecdot(g.coeffs[:, None, :], weights)
-    return AggregatedDesign(matrix=rows, partition=partition)
+    return rows
 
 
 # --- fused-lasso path ------------------------------------------------------------
@@ -133,7 +124,6 @@ class SolutionPath:
 
     lambdas: np.ndarray  # penalties at the knots, in the n^-1 loss convention above
     deltas: np.ndarray  # (len(lambdas), size) step levels
-    n_obs: int
     rank_deficient: bool = False
 
 
@@ -143,7 +133,7 @@ def _lasso_columns(a: np.ndarray) -> np.ndarray:
     return np.column_stack([tail_sums[:, 0], tail_sums[:, 1:]])
 
 
-def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath:
+def fused_lasso_path(targets: np.ndarray, a: np.ndarray) -> SolutionPath:
     """Exact homotopy in the penalty, from full fusion down to no penalty.
 
     On each segment the active coefficients are ``a - t b`` and the
@@ -164,7 +154,6 @@ def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath
     path is flagged, since the solution below it is not identified.
     """
     r = np.asarray(targets, dtype=float)
-    a = agg.matrix
     n, size = a.shape
     if size < 2:
         raise ValueError("need at least two cells to fuse")
@@ -250,9 +239,7 @@ def fused_lasso_path(targets: np.ndarray, agg: AggregatedDesign) -> SolutionPath
     # simultaneous events share one knot
     keep = np.r_[True, np.diff(lams) < 0]
     deltas = np.cumsum(np.stack(knot_gammas)[keep], axis=1)
-    return SolutionPath(
-        lambdas=2.0 * lams[keep] / n, deltas=deltas, n_obs=n, rank_deficient=rank_deficient
-    )
+    return SolutionPath(lambdas=2.0 * lams[keep] / n, deltas=deltas, rank_deficient=rank_deficient)
 
 
 def path_delta_at(path: SolutionPath, lam: float) -> np.ndarray:
@@ -276,7 +263,7 @@ def path_delta_at(path: SolutionPath, lam: float) -> np.ndarray:
     return (1.0 - w) * path.deltas[lo] + w * path.deltas[hi]
 
 
-def kkt_residual(delta: np.ndarray, targets: np.ndarray, agg: AggregatedDesign, lam: float) -> float:
+def kkt_residual(delta: np.ndarray, targets: np.ndarray, a: np.ndarray, lam: float) -> float:
     """Scaled stationarity violation of a candidate solution.
 
     Zero (to rounding) iff ``delta`` minimizes the penalized objective at
@@ -284,7 +271,6 @@ def kkt_residual(delta: np.ndarray, targets: np.ndarray, agg: AggregatedDesign, 
     in closed form from cumulative gradient sums, so the check shares no
     machinery with the homotopy solver.
     """
-    a = agg.matrix
     r = np.asarray(targets, dtype=float)
     n = r.size
     lam_std = 0.5 * n * lam
@@ -357,7 +343,7 @@ def evaluate_path(
     y: np.ndarray,
     draws: PosteriorDraws,
     design: RegressionDesign,
-    agg: AggregatedDesign,
+    a: np.ndarray,
     rng: np.random.Generator,
     pred_draws: int | None = PRED_DRAWS,
     max_entries: int = 100,
@@ -388,13 +374,13 @@ def evaluate_path(
     n = y.size
 
     adj = y - design.z @ draws.alpha.mean(axis=0)
-    resid = adj[:, None] - agg.matrix @ deltas.T
+    resid = adj[:, None] - a @ deltas.T
     emp = np.einsum("ij,ij->j", resid, resid) / n
     del resid  # n x entries: freed before the SVD
     best = int(np.argmin(emp))
 
-    coords = _span_basis(agg.matrix, design.scores)[1]
-    rank, cells = coords.shape[0], agg.matrix.shape[1]
+    coords = _span_basis(a, design.scores)[1]
+    rank, cells = coords.shape[0], a.shape[1]
     idx = subsample_indices(draws.n_draws, pred_draws)
     noise = rng.standard_normal((idx.size, rank))
     rest = rng.chisquare(n - rank, idx.size) if n > rank else np.zeros(idx.size)
@@ -542,21 +528,6 @@ def ci_selection(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return np.where(lower > 0, 1, np.where(upper < 0, -1, 0)).astype(int)
 
 
-def ci_windows(grid: np.ndarray, mean: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> list[Window]:
-    """Contiguous grid runs where the band excludes zero, as labeled windows."""
-    sel = ci_selection(lower, upper)
-    return [
-        Window(
-            start=float(grid[i]),
-            end=float(grid[j]),
-            level=float(np.mean(mean[i : j + 1])),
-            label="+" if sel[i] > 0 else "-",
-        )
-        for i, j in zip(*_runs(sel))
-        if sel[i] != 0
-    ]
-
-
 # --- end-to-end convenience -------------------------------------------------------
 
 
@@ -568,7 +539,7 @@ class DecisionSummary:
     diagnostics: PathDiagnostics
     family: AcceptableFamily
     estimate: LocallyConstantEstimate
-    aggregated: AggregatedDesign
+    aggregated: np.ndarray  # (n, cells) cell integrals of the curves
     targets: np.ndarray  # the fitted values the path regresses on the aggregated design
     windows: list[Window] = field(default_factory=list)
 
@@ -576,7 +547,7 @@ class DecisionSummary:
 def analyze(
     draws: PosteriorDraws,
     design: RegressionDesign,
-    curves: CoefSet | list[CoefCurve],
+    curves: CoefSet,
     partition: Partition,
     y: np.ndarray,
     rng: np.random.Generator,

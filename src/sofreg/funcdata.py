@@ -10,10 +10,10 @@ subjects that share it.
 
 Curves travel through the pipeline as two columnar sets: a ``CurveSet``
 holds one value matrix per shared sampling grid and a ``CoefSet`` one
-coefficient matrix per (basis layout, domain).  Both are sequences of the
-per-subject records ``CurveObservation`` and ``CoefCurve``, and every
-function that takes a set also takes a plain list of records, converted
-once on entry.
+coefficient matrix per (basis layout, domain).  Sets are the only input
+the functions here take.  Indexing or iterating a set gives per-subject
+views, ``CurveObservation`` and ``CoefCurve``, whose arrays are rows of
+their group's matrix.
 
 Scalar covariates enter linearly: a numeric one as a standardized column,
 any other dummy-coded.  With an unpenalized intercept and the curve
@@ -44,13 +44,8 @@ from sofreg.basis import (
 class CurveObservation:
     """One subject's functional predictor sampled on its own grid."""
 
-    subject_id: str
     t: np.ndarray
     x: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.t = np.asarray(self.t, dtype=float)
-        self.x = np.asarray(self.x, dtype=float)
 
     @property
     def domain(self) -> Domain:
@@ -61,7 +56,6 @@ class CurveObservation:
 class CoefCurve:
     """Spline-coefficient representation of one curve on its domain."""
 
-    subject_id: str
     coeffs: np.ndarray
     basis: BSplineBasis
     domain: Domain
@@ -95,6 +89,7 @@ class _GroupedSet(SequenceABC):
 
     Indexing and iteration yield one record per subject, whose arrays
     are views into its group's matrix; a slice gives a list of records.
+    A subject's id is the entry of ``ids`` at its position.
     """
 
     def __init__(self, ids: Sequence[str], groups: Sequence) -> None:
@@ -116,7 +111,7 @@ class _GroupedSet(SequenceABC):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        return self._record(self.ids[i], self.groups[self._group[i]], self._pos[i])
+        return self._record(self.groups[self._group[i]], self._pos[i])
 
 
 class CurveSet(_GroupedSet):
@@ -125,26 +120,8 @@ class CurveSet(_GroupedSet):
     groups: list[CurveGroup]
 
     @staticmethod
-    def _record(sid: str, g: CurveGroup, j: int) -> CurveObservation:
-        return CurveObservation(sid, g.t, g.x[j])
-
-    @classmethod
-    def of(cls, curves: CurveSet | Sequence[CurveObservation]) -> CurveSet:
-        """The set itself, or a list of records validated and grouped."""
-        if isinstance(curves, cls):
-            return curves
-        curves = list(curves)
-        for c in curves:
-            if c.t.ndim != 1 or c.t.shape != c.x.shape:
-                raise ValueError(f"curve {c.subject_id}: t and x must be equal-length vectors")
-        if not curves:
-            return cls([], [])
-        return cls.from_columns(
-            [c.subject_id for c in curves],
-            np.array([c.t.size for c in curves]),
-            np.concatenate([c.t for c in curves]),
-            np.concatenate([c.x for c in curves]),
-        )
+    def _record(g: CurveGroup, j: int) -> CurveObservation:
+        return CurveObservation(g.t, g.x[j])
 
     @classmethod
     def from_columns(
@@ -206,33 +183,11 @@ class CoefSet(_GroupedSet):
     groups: list[CoefGroup]
 
     @staticmethod
-    def _record(sid: str, g: CoefGroup, j: int) -> CoefCurve:
-        return CoefCurve(sid, g.coeffs[j], g.basis, g.domain)
-
-    @classmethod
-    def of(cls, curves: CoefSet | Sequence[CoefCurve]) -> CoefSet:
-        """The set itself, or a list of records grouped in first-seen order."""
-        if isinstance(curves, cls):
-            return curves
-        curves = list(curves)
-        by_layout: dict[tuple, list[int]] = {}
-        for i, c in enumerate(curves):
-            b = c.basis
-            key = (b.size, b.degree, b.domain.lo, b.domain.hi, c.domain.lo, c.domain.hi)
-            by_layout.setdefault(key, []).append(i)
-        groups = [
-            CoefGroup(
-                np.array(idx),
-                np.stack([curves[i].coeffs for i in idx], axis=1).T,
-                curves[idx[0]].basis,
-                curves[idx[0]].domain,
-            )
-            for idx in by_layout.values()
-        ]
-        return cls([c.subject_id for c in curves], groups)
+    def _record(g: CoefGroup, j: int) -> CoefCurve:
+        return CoefCurve(g.coeffs[j], g.basis, g.domain)
 
 
-def fit_curves(observations: CurveSet | Sequence[CurveObservation], basis: BSplineBasis) -> CoefSet:
+def fit_curves(curves: CurveSet, basis: BSplineBasis) -> CoefSet:
     """Least-squares spline coefficients for many curves.
 
     Curves sharing a grid are solved together with one factorization and
@@ -240,7 +195,6 @@ def fit_curves(observations: CurveSet | Sequence[CurveObservation], basis: BSpli
     A rank-deficient fit (grid too coarse for the basis) is an error
     rather than a silent minimum-norm solution.
     """
-    curves = CurveSet.of(observations)
     groups = []
     for g in curves.groups:
         design = eval_basis_matrix(basis, g.t)
@@ -254,7 +208,7 @@ def fit_curves(observations: CurveSet | Sequence[CurveObservation], basis: BSpli
     return CoefSet(curves.ids, groups)
 
 
-def functional_scores(curves: CoefSet | Sequence[CoefCurve], basis_b: BSplineBasis) -> np.ndarray:
+def functional_scores(curves: CoefSet, basis_b: BSplineBasis) -> np.ndarray:
     """Rows of the reduced functional design: one score vector per subject.
 
     Row i dotted with the coefficient vector of the regression function
@@ -262,7 +216,6 @@ def functional_scores(curves: CoefSet | Sequence[CoefCurve], basis_b: BSplineBas
     Each (basis layout, domain) group takes one cross-Gram and one
     batched product.
     """
-    curves = CoefSet.of(curves)
     rows = np.empty((len(curves), basis_b.size))
     for g in curves.groups:
         if not basis_b.domain.contains(g.domain):
@@ -288,7 +241,6 @@ class RegressionDesign:
     z: np.ndarray
     z_names: list[str]
     penalized: np.ndarray
-    subject_ids: list[str]
 
     @property
     def n(self) -> int:
@@ -333,7 +285,7 @@ def expand_scalars(scalars: Mapping[str, Sequence], n: int) -> tuple[np.ndarray,
 
 
 def build_design(
-    curves: CoefSet | Sequence[CoefCurve],
+    curves: CoefSet,
     basis_b: BSplineBasis,
     y: Sequence[float],
     scalars: Mapping[str, Sequence] | None = None,
@@ -343,15 +295,13 @@ def build_design(
     The scalar columns come from ``expand_scalars``; all but the
     intercept are penalized.
     """
-    curves = CoefSet.of(curves)
     y = np.asarray(y, dtype=float)
     n = len(curves)
     if y.shape != (n,):
         raise ValueError(f"expected {n} responses, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("non-finite responses")
-    ids = curves.ids
-    if len(set(ids)) != n:
+    if len(set(curves.ids)) != n:
         raise ValueError("duplicate subject ids")
 
     z, names = expand_scalars(scalars or {}, n)
@@ -362,7 +312,6 @@ def build_design(
         z=z,
         z_names=names,
         penalized=np.arange(len(names)) < len(names) - 1,
-        subject_ids=ids,
     )
 
 
@@ -399,14 +348,13 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[: -len(",\r\n")]
 
 
-def write_curves(path, curves: CurveSet | Sequence[CurveObservation]) -> None:
+def write_curves(path, curves: CurveSet) -> None:
     """Long-format curve file: subject_id, t, x with a header row.
 
     The bytes are those of ``csv.writer`` writing ``repr`` of each float,
     CRLF line ends included.  Each grid is formatted once, into a template
     of its rows, and each subject's rows are written with one ``format``.
     """
-    curves = CurveSet.of(curves)
     templates = [
         "".join(f"{{0}},{t!r},{{{j}!r}}\r\n" for j, t in enumerate(g.t.tolist(), 1))
         for g in curves.groups
@@ -514,7 +462,11 @@ def write_scalars(
 
 
 def read_scalars(path) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
-    """Read a scalar file; covariate columns are numeric when fully parseable."""
+    """Read a scalar file; covariate columns are numeric when fully parseable.
+
+    A blank covariate field is an error: it would turn a numeric column
+    into a categorical one with a level per distinct value.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -538,6 +490,12 @@ def read_scalars(path) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
                 raise ValueError(
                     f"{path}: subject {line[0]}: response {line[1]!r} is not a number"
                 ) from None
+            for name, value in zip(names, line[2:]):
+                if not value.strip():
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: subject {line[0]}: "
+                        f"covariate {name} is blank"
+                    )
             ids.append(line[0])
             raw.append(line[2:])
     scalars: dict[str, np.ndarray] = {}

@@ -90,7 +90,6 @@ class PosteriorDraws:
     sigma2: np.ndarray
     alpha_scales2: np.ndarray
     lambda0: np.ndarray
-    prior: str
     config: FitConfig
     y_hat: np.ndarray
     h: np.ndarray | None = None
@@ -334,7 +333,6 @@ def fit(
         basis=design.basis_b,
         alpha_names=list(design.z_names),
         penalized=design.penalized.copy(),
-        prior=config.prior,
         config=config,
         y_hat=y_hat,
         seed=seed,
@@ -487,7 +485,7 @@ def save_draws(draws: PosteriorDraws, directory, curves: ArchivedCurves | None =
     )
     manifest = {
         "format": ARCHIVE_FORMAT,
-        "prior": draws.prior,
+        "prior": draws.config.prior,
         "seed": draws.seed,
         "config": config_dict,
         "config_hash": config_hash,
@@ -540,7 +538,6 @@ def load_draws(directory) -> PosteriorDraws:
         basis=_basis_from_meta(manifest["basis"]),
         alpha_names=list(manifest["alpha_names"]),
         penalized=np.array(manifest["penalized"], dtype=bool),
-        prior=manifest["prior"],
         config=config,
         seed=manifest.get("seed"),
         **{name: arrays[name] for name in _ARRAY_FIELDS[:6]},

@@ -23,10 +23,9 @@ from sofreg.decision import (
 )
 from sofreg.dhs import DhsConfig
 from sofreg.funcdata import assemble_design
-from sofreg.gibbs import FitConfig, fit, summarize_coefficient
+from sofreg.gibbs import PRIOR_KINDS, FitConfig, fit, summarize_coefficient
 from sofreg.simulate import MethodFn, MethodResult, SimulationDesign
 
-PRIOR_METHODS = ("dhs", "pspline", "local-pspline")
 DECISION_METHOD = "dhs-da"
 
 
@@ -71,8 +70,8 @@ def _fit_once(prior, curves, y, rng, s: MethodSettings):
 
 def band_method(prior: str, s: MethodSettings) -> MethodFn:
     """Posterior-mean estimate with 95% bands and the band-based selector."""
-    if prior not in PRIOR_METHODS:
-        raise ValueError(f"unknown prior {prior!r}; expected one of {PRIOR_METHODS}")
+    if prior not in PRIOR_KINDS:
+        raise ValueError(f"unknown prior {prior!r}; expected one of {PRIOR_KINDS}")
 
     def run(curves, y, design, rng):
         _, _, draws = _fit_once(prior, curves, y, rng, s)
@@ -131,10 +130,10 @@ def build_methods(names: list[str], s: MethodSettings) -> dict[str, MethodFn]:
     for name in names:
         if name == DECISION_METHOD:
             out[name] = decision_method(s)
-        elif name in PRIOR_METHODS:
+        elif name in PRIOR_KINDS:
             out[name] = band_method(name, s)
         else:
             raise ValueError(
-                f"unknown method {name!r}; expected {PRIOR_METHODS + (DECISION_METHOD,)}"
+                f"unknown method {name!r}; expected {PRIOR_KINDS + (DECISION_METHOD,)}"
             )
     return out

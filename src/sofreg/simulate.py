@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix
-from sofreg.funcdata import CurveGroup, CurveObservation, CurveSet, fit_curves, functional_scores
+from sofreg.funcdata import CurveGroup, CurveSet, fit_curves, functional_scores
 
 
 # --- truth functions ---------------------------------------------------------------
@@ -155,7 +155,7 @@ def gen_curves(design: SimulationDesign, rng: np.random.Generator) -> CurveSet:
 
 
 def functional_signals(
-    curves: CurveSet | list[CurveObservation],
+    curves: CurveSet,
     truth: TruthSpec,
     basis: BSplineBasis | None = None,
     route: str = "spline",
@@ -167,7 +167,6 @@ def functional_signals(
     the raw grid values and shares nothing with the estimation pipeline,
     making it an independent cross-check.
     """
-    curves = CurveSet.of(curves)
     if route == "trapezoid":
         signals = np.empty(len(curves))
         for g in curves.groups:
@@ -314,7 +313,12 @@ def method_rng(design: SimulationDesign, rep: int, name: str) -> np.random.Gener
 def run_replicate(
     design: SimulationDesign, methods: Mapping[str, MethodFn], rep: int
 ) -> list[dict]:
-    """Tidy metric rows for one replicate; method failures become error rows."""
+    """Tidy metric rows (replicate, method, metric, value) for one replicate.
+
+    The data and each method draw from independent streams spawned from
+    the design seed, so the rows are reproducible and method order is
+    immaterial.  A method failure becomes an ``error`` row.
+    """
     rows: list[dict] = []
     truth_vals = np.asarray(design.truth(design.grid), dtype=float)
     curves, y, sigma = replicate_data(design, rep)
@@ -340,18 +344,4 @@ def run_replicate(
             rows.append({"replicate": rep, "method": name, "metric": metric, "value": value})
         for metric, value in result.extras.items():
             rows.append({"replicate": rep, "method": name, "metric": metric, "value": value})
-    return rows
-
-
-def run_study(design: SimulationDesign, methods: Mapping[str, MethodFn]) -> list[dict]:
-    """Replicated comparison of fitting methods on one simulation design.
-
-    Returns tidy rows (replicate, method, metric, value).  Data and each
-    method get independent child streams spawned from the design seed, so
-    results are reproducible and method order is immaterial.  A method
-    failure is recorded as an ``error`` row for that replicate only.
-    """
-    rows: list[dict] = []
-    for rep in range(design.replicates):
-        rows.extend(run_replicate(design, methods, rep))
     return rows

@@ -45,7 +45,8 @@ from sofreg.dhs import (
     sample_log_vols_and_level,
 )
 from sofreg.funcdata import (
-    CurveObservation,
+    CurveGroup,
+    CurveSet,
     RegressionDesign,
     fit_curves,
     functional_scores,
@@ -82,7 +83,6 @@ def _small_design(n=15, k=8, seed=11) -> RegressionDesign:
         z=z,
         z_names=["w0", "(intercept)"],
         penalized=np.array([True, False]),
-        subject_ids=[f"s{i}" for i in range(n)],
     )
 
 
@@ -301,7 +301,6 @@ def test_criterion_02_geweke_prior_reproduction():
         z=rng.normal(size=(n, 1)),
         z_names=["w0"],
         penalized=np.array([True]),
-        subject_ids=[f"s{i}" for i in range(n)],
     )
     # proper hyperpriors: the joint prior must be samplable for this test
     cfg = FitConfig(
@@ -443,9 +442,9 @@ def test_criterion_05_fused_lasso_path_correctness():
     # endpoint identities
     r, agg = random_problem(rng, 40, 12)
     path = fused_lasso_path(r, agg)
-    lstsq = np.linalg.lstsq(agg.matrix, r, rcond=None)[0]
+    lstsq = np.linalg.lstsq(agg, r, rcond=None)[0]
     assert np.max(np.abs(path_delta_at(path, 0.0) - lstsq)) < 1e-8
-    total = agg.matrix.sum(axis=1)
+    total = agg.sum(axis=1)
     const = float(total @ r / (total @ total))
     at_top = path_delta_at(path, path.lambdas[0])
     assert np.max(np.abs(at_top - const)) < 1e-8
@@ -458,7 +457,7 @@ def test_criterion_05_fused_lasso_path_correctness():
         n3 = r3.size
         for frac in (0.75, 0.4, 0.1):
             lam = frac * path3.lambdas[0]
-            oracle = prox_gradient_k3(r3, agg3.matrix, n3 * lam / 2.0)
+            oracle = prox_gradient_k3(r3, agg3, n3 * lam / 2.0)
             assert np.max(np.abs(path_delta_at(path3, lam) - oracle)) < 1e-8
 
     elapsed = time.monotonic() - start
@@ -603,7 +602,8 @@ def test_criterion_07_quadrature_and_design_identities():
     t_obs = np.sort(rng.uniform(0.0, 1.0, 60))
     t_obs[0], t_obs[-1] = 0.0, 1.0
     curve_basis = BSplineBasis(domain, 9, 3)
-    curves = [CurveObservation("s0", t_obs, np.sin(3.0 * t_obs) + 0.2 * rng.normal(size=60))]
+    x_obs = np.sin(3.0 * t_obs) + 0.2 * rng.normal(size=60)
+    curves = CurveSet(["s0"], [CurveGroup(np.arange(1), t_obs, x_obs[None])])
     coef_curves = fit_curves(curves, curve_basis)
     scores = functional_scores(coef_curves, b_col)
     delta = rng.normal(size=b_col.size)

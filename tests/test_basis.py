@@ -11,7 +11,6 @@ from sofreg.basis import (
     _gauss_nodes,
     _segment_breaks,
     cross_gram,
-    eval_basis,
     eval_basis_matrix,
     integrate_basis,
     second_difference_matrix,
@@ -99,9 +98,9 @@ def test_locality_at_most_degree_plus_one_nonzero():
 
 def test_eval_outside_domain_raises():
     basis = BSplineBasis(Domain(0.0, 1.0), 8, 3)
-    with pytest.raises(ValueError):
-        eval_basis(basis, 1.0001)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside basis domain"):
+        eval_basis_matrix(basis, np.array([1.0001]))
+    with pytest.raises(ValueError, match="outside basis domain"):
         eval_basis_matrix(basis, np.array([-0.5, 0.5]))
 
 

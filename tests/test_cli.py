@@ -143,6 +143,16 @@ def test_every_flag_overrides_its_config_key():
     assert seen == set(cli._COMMANDS)
 
 
+def test_threads_is_a_replicate_key_and_flag_only():
+    # only replicate runs worker processes
+    assert cli._defaults("replicate")["threads"] == 1
+    for command in ("simulate", "fit", "summarize", "evaluate"):
+        assert "threads" not in cli._defaults(command)
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--threads", "2"])
+        assert exited.value.code == cli.EXIT_CONFIG
+
+
 # --- fit / summarize / evaluate chain ------------------------------------------------
 
 
@@ -341,10 +351,10 @@ def test_resolved_defaults_rebuild_the_library_defaults():
 @pytest.mark.parametrize(
     "command,digest",
     [
-        ("simulate", "fb4e72b62aea"),
-        ("fit", "66cb73d50e50"),
-        ("summarize", "f67653ee636e"),
-        ("evaluate", "e87c0c329051"),
+        ("simulate", "9cf67131479f"),
+        ("fit", "cc9024c2d35d"),
+        ("summarize", "b75fc9af3f32"),
+        ("evaluate", "f2b0767e3d6d"),
         ("replicate", "fc5305e427da"),
     ],
 )
@@ -650,6 +660,24 @@ def test_subject_ids_with_commas_and_quotes_survive_fit_and_summarize(pipeline_d
 # --- package shape ----------------------------------------------------------------------
 
 
+def test_fit_and_summarize_reject_a_blank_covariate(pipeline_dirs, tmp_path, capsys):
+    root, sim, fit_dir, _ = pipeline_dirs
+    ids, y, _ = read_scalars(sim / "scalars_rep000.csv")
+    dose = [float(i) for i in range(len(ids))]
+    dose[3] = ""
+    scalars = tmp_path / "scalars.csv"
+    write_scalars(scalars, ids, y, {"dose": dose})
+    fit_argv = ["fit", "--curves", str(sim / "curves_rep000.csv"), "--scalars", str(scalars)]
+    fit_argv += ["--out-dir", str(tmp_path / "f")]
+    summarize_argv = _summarize_argv(root, sim, fit_dir, tmp_path / "s")
+    summarize_argv[summarize_argv.index("--scalars") + 1] = str(scalars)
+    for argv in (fit_argv, summarize_argv):
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(scalars) in err and f"line 5: subject {ids[3]}: covariate dose is blank" in err
+    assert not (tmp_path / "f" / "archive").exists()
+
+
 def test_every_package_function_has_a_caller_in_the_package():
     # a function, class, method or property that only tests call should live
     # in the tests; names the package exports are its public interface
@@ -671,6 +699,25 @@ def test_every_package_function_has_a_caller_in_the_package():
         and not (name.startswith("__") and name.endswith("__"))
     ]
     assert unused == []
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    # a field nothing reads only costs its writers; reads count by attribute name
+    src = Path(sofreg.__file__).parent
+    fields, read = [], set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).startswith("dataclass") for d in node.decorator_list
+            ):
+                fields += [
+                    f"{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert [f for f in fields if f.split(".")[1] not in read] == []
 
 
 # --- imports: scipy only where sampling runs ------------------------------------------

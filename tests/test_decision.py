@@ -17,7 +17,6 @@ from scipy import stats
 
 from sofreg.basis import BSplineBasis, Domain, cross_gram, eval_basis_matrix, integrate_basis
 from sofreg.decision import (
-    AggregatedDesign,
     LocallyConstantEstimate,
     Partition,
     Window,
@@ -26,7 +25,6 @@ from sofreg.decision import (
     analyze,
     build_estimate,
     ci_selection,
-    ci_windows,
     count_level_changes,
     evaluate_path,
     extract_windows,
@@ -39,8 +37,10 @@ from sofreg.decision import (
 )
 from sofreg import decision
 from sofreg.funcdata import (
-    CoefCurve,
-    CurveObservation,
+    CoefGroup,
+    CoefSet,
+    CurveGroup,
+    CurveSet,
     build_design,
     fit_curves,
     functional_scores,
@@ -137,7 +137,7 @@ def aggregate_oracle(curves, partition):
     rows = np.zeros((len(curves), partition.size))
     for i, curve in enumerate(curves):
         if not span.contains(curve.domain):
-            raise ValueError(f"subject {curve.subject_id} interval not inside the partition span")
+            raise ValueError(f"subject {curves.ids[i]} interval not inside the partition span")
         bkey = (curve.basis.size, curve.basis.degree, curve.basis.domain.lo, curve.basis.domain.hi)
         for k, cell in enumerate(cells):
             inter = cell.intersect(curve.domain)
@@ -152,12 +152,19 @@ def aggregate_oracle(curves, partition):
     return rows
 
 
+def coef_set(coeffs, basis, domain):
+    """Curves on one basis and domain as one group, in the layout ``fit_curves``
+    gives a group: the transpose of a C-ordered (K, members) array."""
+    members = np.arange(len(coeffs))
+    group = CoefGroup(members, np.asfortranarray(coeffs), basis, domain)
+    return CoefSet([f"s{i}" for i in members], [group])
+
+
 def random_problem(rng, n, k):
     a = rng.standard_normal((n, k)) + 0.3
     delta_true = np.repeat(rng.standard_normal(-(-k // 3)), 3)[:k]
     r = a @ delta_true + 0.4 * rng.standard_normal(n)
-    part = Partition.regular(Domain(0.0, 1.0), k)
-    return r, AggregatedDesign(matrix=a, partition=part)
+    return r, a
 
 
 def aggregated_problem(seed, n, k, cells):
@@ -166,10 +173,9 @@ def aggregated_problem(seed, n, k, cells):
     domain = Domain(0.0, 1.0)
     basis = BSplineBasis(domain, k, 3)
     coeffs = rng.standard_normal((n, k)) + 0.5
-    curves = [CoefCurve(f"s{i}", c, basis, domain) for i, c in enumerate(coeffs)]
-    agg = aggregate(curves, Partition.regular(domain, cells))
+    agg = aggregate(coef_set(coeffs, basis, domain), Partition.regular(domain, cells))
     step = np.repeat(rng.standard_normal(3), -(-cells // 3))[:cells]
-    return agg.matrix @ step + 0.3 * rng.standard_normal(n), agg
+    return agg @ step + 0.3 * rng.standard_normal(n), agg
 
 
 # --- oracle cross-checks ------------------------------------------------------------
@@ -224,7 +230,7 @@ def test_path_knots_satisfy_kkt_on_random_designs():
     # aggregated curves with more cells than basis functions: rank(A) < cells
     for seed, n, k, cells in ((0, 200, 18, 20), (51, 300, 20, 60)):
         r, agg = aggregated_problem(seed, n, k, cells)
-        assert np.linalg.matrix_rank(agg.matrix) < cells
+        assert np.linalg.matrix_rank(agg) < cells
         _assert_path_stationary(fused_lasso_path(r, agg), r, agg)
 
 
@@ -232,7 +238,7 @@ def test_path_endpoint_matches_least_squares():
     rng = np.random.default_rng(3)
     r, agg = random_problem(rng, 40, 9)
     path = fused_lasso_path(r, agg)
-    direct = np.linalg.lstsq(agg.matrix, r, rcond=None)[0]
+    direct = np.linalg.lstsq(agg, r, rcond=None)[0]
     assert np.max(np.abs(path_delta_at(path, 0.0) - direct)) < 1e-8
 
 
@@ -240,7 +246,7 @@ def test_path_endpoint_matches_constant_fit():
     rng = np.random.default_rng(4)
     r, agg = random_problem(rng, 35, 7)
     path = fused_lasso_path(r, agg)
-    total = agg.matrix.sum(axis=1)
+    total = agg.sum(axis=1)
     c = float(total @ r / (total @ total))
     top = path.deltas[0]
     assert np.max(np.abs(top - c)) < 1e-8
@@ -259,7 +265,7 @@ def test_path_matches_prox_gradient_oracle_k3():
         )[:5]
         for lam in lam_grid:
             mine = path_delta_at(path, float(lam))
-            oracle = prox_gradient_k3(r, agg.matrix, 0.5 * n * float(lam))
+            oracle = prox_gradient_k3(r, agg, 0.5 * n * float(lam))
             assert np.max(np.abs(mine - oracle)) < 1e-8
 
 
@@ -271,7 +277,7 @@ def test_path_matches_admm_oracle_general_k():
     for frac in (0.75, 0.4, 0.15, 0.02):
         lam = float(frac * path.lambdas[0])
         mine = path_delta_at(path, lam)
-        oracle = admm_fused_lasso(r, agg.matrix, 0.5 * n * lam)
+        oracle = admm_fused_lasso(r, agg, 0.5 * n * lam)
         assert np.max(np.abs(mine - oracle)) < 1e-6
 
 
@@ -279,14 +285,12 @@ def test_rank_deficient_design_stops_path_and_reports():
     rng = np.random.default_rng(8)
     k, n = 24, 8
     a = rng.standard_normal((n, k)) + 0.3
-    part = Partition.regular(Domain(0.0, 1.0), k)
-    agg = AggregatedDesign(matrix=a, partition=part)
     r = rng.standard_normal(n)
-    path = fused_lasso_path(r, agg)
+    path = fused_lasso_path(r, a)
     assert path.rank_deficient
     assert path.lambdas[-1] > 0.0
     for lam, delta in zip(path.lambdas, path.deltas):
-        assert kkt_residual(delta, r, agg, lam) < 1e-8
+        assert kkt_residual(delta, r, a, lam) < 1e-8
     with pytest.raises(ValueError, match="rank deficient"):
         path_delta_at(path, 0.5 * path.lambdas[-1])
     with pytest.raises(ValueError, match="rank deficient"):
@@ -319,38 +323,29 @@ def test_partition_validation():
     assert [c.lo for c in part.cells()] == pytest.approx([0.0, 0.25, 0.5, 0.75])
 
 
-def _constant_curve(basis, value, domain, sid="s"):
-    # clamped B-splines sum to one, so equal coefficients give a flat curve
-    return CoefCurve(subject_id=sid, coeffs=np.full(basis.size, value), basis=basis, domain=domain)
-
-
 def test_aggregate_constant_curve_gives_cell_widths():
     basis = BSplineBasis(Domain(0.0, 1.0), 10, 3)
-    curves = [_constant_curve(basis, 1.0, Domain(0.0, 1.0))]
+    # clamped B-splines sum to one, so equal coefficients give a flat curve
+    curves = coef_set(np.ones((1, basis.size)), basis, Domain(0.0, 1.0))
     part = Partition.regular(Domain(0.0, 1.0), 5)
     agg = aggregate(curves, part)
-    assert np.allclose(agg.matrix, 0.2, atol=1e-12)
+    assert np.allclose(agg, 0.2, atol=1e-12)
 
 
 def test_aggregate_row_sums_match_full_integral():
     rng = np.random.default_rng(12)
     basis = BSplineBasis(Domain(0.0, 1.0), 12, 3)
-    curves = []
+    groups = []
     for i in range(6):
         lo = float(rng.uniform(0.0, 0.3))
         hi = float(rng.uniform(0.7, 1.0))
-        curves.append(
-            CoefCurve(
-                subject_id=f"s{i}",
-                coeffs=rng.standard_normal(basis.size),
-                basis=basis,
-                domain=Domain(lo, hi),
-            )
-        )
+        coeffs = rng.standard_normal((1, basis.size))
+        groups.append(CoefGroup(np.array([i]), coeffs, basis, Domain(lo, hi)))
+    curves = CoefSet([f"s{i}" for i in range(6)], groups)
     part = Partition.regular(Domain(0.0, 1.0), 17)
     agg = aggregate(curves, part)
-    assert np.array_equal(agg.matrix, aggregate_oracle(curves, part))
-    for row, curve in zip(agg.matrix, curves):
+    assert np.array_equal(agg, aggregate_oracle(curves, part))
+    for row, curve in zip(agg, curves):
         full = float(curve.coeffs @ integrate_basis(basis, curve.domain))
         assert abs(row.sum() - full) < 1e-8
 
@@ -358,38 +353,46 @@ def test_aggregate_row_sums_match_full_integral():
 def test_aggregate_matches_per_cell_oracle_bitwise_on_fitted_curves():
     rng = np.random.default_rng(31)
     basis = BSplineBasis(Domain(0.0, 1.0), 15, 3)
-    grid = np.linspace(0.0, 1.0, 41)
-    obs = [CurveObservation(f"s{i}", grid, rng.standard_normal(grid.size)) for i in range(25)]
-    other = np.linspace(0.0, 1.0, 33)
-    obs += [CurveObservation(f"u{i}", other, rng.standard_normal(other.size)) for i in range(5)]
-    curves = list(fit_curves(obs, basis))  # records: views into the set's groups
-    # subjects seen on part of the domain: a domain group of their own
-    short = Domain(0.15, 0.8)
-    curves[3:6] = [CoefCurve(c.subject_id, c.coeffs, basis, short) for c in curves[3:6]]
+    grid, other = np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 33)
+    obs = CurveSet(
+        [f"s{i}" for i in range(25)] + [f"u{i}" for i in range(5)],
+        [
+            CurveGroup(np.arange(25), grid, rng.standard_normal((25, grid.size))),
+            CurveGroup(np.arange(25, 30), other, rng.standard_normal((5, other.size))),
+        ],
+    )
+    fitted = fit_curves(obs, basis)
+    # subjects seen on part of the domain: a domain group of their own, whose
+    # coefficients stay views into the shared solve
+    g, last = fitted.groups
+    runs = [(slice(0, 3), g.domain), (slice(3, 6), Domain(0.15, 0.8)), (slice(6, 25), g.domain)]
+    groups = [CoefGroup(g.rows[r], g.coeffs[r], basis, d) for r, d in runs]
+    curves = CoefSet(fitted.ids, groups + [last])
     assert curves[0].coeffs.strides != (8,)  # columns of one shared solve
-    single = fit_curves([obs[-1]], basis)
+    u4 = CurveGroup(np.arange(1), other, obs.groups[1].x[-1:])
+    single = fit_curves(CurveSet(["u4"], [u4]), basis)
     assert single[0].coeffs.flags.c_contiguous
     for group in (curves, single):
         rows = [c.coeffs @ cross_gram(c.basis, basis, c.domain) for c in group]
         assert np.array_equal(functional_scores(group, basis), np.stack(rows))
     for part in (Partition.from_grid(grid), Partition.regular(basis.domain, 7)):
         for group in (curves, single):
-            assert np.array_equal(aggregate(group, part).matrix, aggregate_oracle(group, part))
+            assert np.array_equal(aggregate(group, part), aggregate_oracle(group, part))
 
 
 def test_aggregate_short_subject_has_zero_trailing_cells():
     basis = BSplineBasis(Domain(0.0, 1.0), 8, 3)
-    curves = [_constant_curve(basis, 2.0, Domain(0.0, 0.4))]
+    curves = coef_set(np.full((1, basis.size), 2.0), basis, Domain(0.0, 0.4))
     part = Partition.regular(Domain(0.0, 1.0), 5)
     agg = aggregate(curves, part)
-    assert np.allclose(agg.matrix[0, :2], 0.4, atol=1e-12)
-    assert agg.matrix[0, 2] == pytest.approx(0.0, abs=1e-12)  # empty beyond 0.4
-    assert np.all(agg.matrix[0, 3:] == 0.0)
+    assert np.allclose(agg[0, :2], 0.4, atol=1e-12)
+    assert agg[0, 2] == pytest.approx(0.0, abs=1e-12)  # empty beyond 0.4
+    assert np.all(agg[0, 3:] == 0.0)
 
 
 def test_aggregate_rejects_curve_outside_partition():
     basis = BSplineBasis(Domain(0.0, 2.0), 8, 3)
-    curves = [_constant_curve(basis, 1.0, Domain(0.0, 2.0))]
+    curves = coef_set(np.ones((1, basis.size)), basis, Domain(0.0, 2.0))
     part = Partition.regular(Domain(0.0, 1.0), 4)
     with pytest.raises(ValueError, match="not inside"):
         aggregate(curves, part)
@@ -399,13 +402,12 @@ def test_aggregate_rejects_curve_outside_partition():
 
 
 def _loss_problem(rng, n, k, p, s, deltas, sigma2=0.25):
-    """A design, posterior and path whose entries are the given step levels.
+    """An aggregated design, posterior and path whose entries are the given step levels.
 
     The design is a namespace with only what the pricing reads: the
     scalar covariates and the curve scores.
     """
-    a = rng.standard_normal((n, k))
-    agg = AggregatedDesign(matrix=a, partition=Partition.regular(Domain(0.0, 1.0), k))
+    agg = rng.standard_normal((n, k))
     q = 4
     design = SimpleNamespace(z=rng.standard_normal((n, p)), scores=rng.standard_normal((n, q)))
     draws = SimpleNamespace(
@@ -415,9 +417,7 @@ def _loss_problem(rng, n, k, p, s, deltas, sigma2=0.25):
         n_draws=s,
     )
     deltas = np.asarray(deltas, dtype=float)
-    path = SolutionPath(
-        lambdas=np.linspace(1.0, 0.0, deltas.shape[0]), deltas=deltas, n_obs=n
-    )
+    path = SolutionPath(lambdas=np.linspace(1.0, 0.0, deltas.shape[0]), deltas=deltas)
     return agg, design, draws, path
 
 
@@ -429,7 +429,7 @@ def test_empirical_mse_matches_loop_oracle():
     )
     y = rng.standard_normal(n)
     diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(0), pred_draws=s)
-    a, z, alpha = agg.matrix, design.z, draws.alpha.mean(axis=0)
+    a, z, alpha = agg, design.z, draws.alpha.mean(axis=0)
     for e, delta in enumerate(path.deltas):
         want = sum((y[i] - z[i] @ alpha - a[i] @ delta) ** 2 for i in range(n)) / n
         assert diag.empirical[e] == pytest.approx(want, abs=1e-12)
@@ -447,7 +447,7 @@ def test_empirical_mse_degenerate_cases():
     assert diag.empirical[0] == pytest.approx(float(y @ y / n), abs=1e-12)
     # exactly representable targets give zero loss
     diag = evaluate_path(
-        path, agg.matrix @ delta, draws, design, agg, np.random.default_rng(0), pred_draws=s
+        path, agg @ delta, draws, design, agg, np.random.default_rng(0), pred_draws=s
     )
     assert diag.empirical[1] == pytest.approx(0.0, abs=1e-20)
     assert diag.idx_lambda_min == 1
@@ -462,7 +462,7 @@ def _span_replicates(draws, design, agg, seed, size):
     dimensions: ``Q u_s`` plus a unit vector orthogonal to the span,
     scaled by the root of its squared norm.
     """
-    q = decision._span_basis(agg.matrix, design.scores)[0]
+    q = decision._span_basis(agg, design.scores)[0]
     n, rank = q.shape
     idx = subsample_indices(draws.n_draws, size)
     rng = np.random.default_rng(seed)
@@ -487,7 +487,7 @@ def test_predictive_mse_matches_loop_oracle_per_draw():
         diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(5), pred_draws=s)
         assert diag.span_rank == min(n, k + 4)
         y_pred = _span_replicates(draws, design, agg, 5, s)
-        a, z = agg.matrix, design.z
+        a, z = agg, design.z
         loss = np.array(
             [
                 [
@@ -714,11 +714,9 @@ def test_ci_selection_and_windows():
     upper = np.array([0.9, 1.0, 0.5, -0.2, -0.1])
     sel = ci_selection(lower, upper)
     assert sel.tolist() == [1, 1, 0, -1, -1]
-    mean = 0.5 * (lower + upper)
-    wins = ci_windows(grid, mean, lower, upper)
-    assert [w.label for w in wins] == ["+", "-"]
-    assert wins[0].start == 0.0 and wins[0].end == pytest.approx(0.25)
-    assert wins[1].start == pytest.approx(0.75) and wins[1].end == 1.0
+    # its windows are the runs of nonzero labels: + on [0, 0.25], - on [0.75, 1]
+    runs = [(grid[i], grid[j], sel[i]) for i, j in zip(*decision._runs(sel)) if sel[i]]
+    assert runs == [(0.0, 0.25, 1), (0.75, 1.0, -1)]
 
 
 def extract_windows_loop(estimate, zero_tol=0.0):
@@ -735,24 +733,6 @@ def extract_windows_loop(estimate, zero_tol=0.0):
         widths = estimate.ends[i : j + 1] - estimate.starts[i : j + 1]
         level = float(estimate.levels[i : j + 1] @ widths / widths.sum())
         windows.append(Window(float(estimate.starts[i]), float(estimate.ends[j]), level, str(labels[i])))
-        i = j + 1
-    return windows
-
-
-def ci_windows_loop(grid, mean, lower, upper):
-    """The run grouping of ``ci_windows`` as a scan, kept as its oracle."""
-    sel = ci_selection(lower, upper)
-    windows = []
-    i = 0
-    while i < sel.size:
-        if sel[i] == 0:
-            i += 1
-            continue
-        j = i
-        while j + 1 < sel.size and sel[j + 1] == sel[i]:
-            j += 1
-        label = "+" if sel[i] > 0 else "-"
-        windows.append(Window(float(grid[i]), float(grid[j]), float(np.mean(mean[i : j + 1])), label))
         i = j + 1
     return windows
 
@@ -776,13 +756,6 @@ def test_window_grouping_matches_loop_oracles():
         est = LocallyConstantEstimate(breaks[:-1], breaks[1:], levels, lam=0.1)
         for zero_tol in (0.0, 0.3):
             assert extract_windows(est, zero_tol) == extract_windows_loop(est, zero_tol)
-        grid, mean = breaks[:-1], rng.standard_normal(signs.size)
-        lower = np.where(signs > 0, 0.1, -1.0) * rng.uniform(0.5, 1.5, signs.size)
-        upper = np.where(signs < 0, -0.1, 1.0) * rng.uniform(0.5, 1.5, signs.size)
-        assert np.array_equal(ci_selection(lower, upper), signs)
-        assert ci_windows(grid, mean, lower, upper) == ci_windows_loop(grid, mean, lower, upper)
-    empty = np.array([])
-    assert ci_windows(empty, empty, empty, empty) == []
 
 
 # --- path pricing and the end-to-end pipeline ---------------------------------------
@@ -797,26 +770,17 @@ def _fabricated_fit(rng, n=40, k_cells=12, n_blocks=0):
     last (0 without them), for a test to take off the response and targets.
     """
     basis = BSplineBasis(Domain(0.0, 1.0), 10, 3)
-    curves = []
-    for i in range(n):
-        curves.append(
-            CoefCurve(
-                subject_id=f"s{i}",
-                coeffs=rng.standard_normal(basis.size),
-                basis=basis,
-                domain=Domain(0.0, 1.0),
-            )
-        )
+    curves = coef_set(rng.standard_normal((n, basis.size)), basis, Domain(0.0, 1.0))
     part = Partition.regular(Domain(0.0, 1.0), k_cells)
     agg = aggregate(curves, part)
     delta_true = np.repeat([1.5, 0.0, -1.0], k_cells // 3 + 1)[:k_cells]
-    y = agg.matrix @ delta_true + 0.3 * rng.standard_normal(n)
+    y = agg @ delta_true + 0.3 * rng.standard_normal(n)
     covariates = [rng.uniform(0.0, 1.0, n) for _ in range(n_blocks)]
     design = build_design(curves, basis, y)
     s = 300
     theta = 0.02 * rng.standard_normal((s, basis.size))
     alpha = 0.05 * rng.standard_normal((s, design.z.shape[1]))
-    fitted = agg.matrix @ delta_true
+    fitted = agg @ delta_true
     block_fits = []
     for j, u in enumerate(covariates):
         block_basis = BSplineBasis(Domain(float(u.min()), float(u.max())), 5 + j, 3)
@@ -834,7 +798,6 @@ def _fabricated_fit(rng, n=40, k_cells=12, n_blocks=0):
         sigma2=np.full(s, 0.09),
         alpha_scales2=np.ones((s, design.z.shape[1])),
         lambda0=np.ones(s),
-        prior="dhs",
         config=FitConfig(),
         y_hat=fitted + design.z @ alpha.mean(axis=0),
         seed=0,
@@ -893,15 +856,7 @@ def test_pipeline_without_scalar_covariates_matches_direct_path():
     # on them
     rng = np.random.default_rng(21)
     basis = BSplineBasis(Domain(0.0, 1.0), 8, 3)
-    curves = [
-        CoefCurve(
-            subject_id=f"s{i}",
-            coeffs=rng.standard_normal(basis.size),
-            basis=basis,
-            domain=Domain(0.0, 1.0),
-        )
-        for i in range(25)
-    ]
+    curves = coef_set(rng.standard_normal((25, basis.size)), basis, Domain(0.0, 1.0))
     part = Partition.regular(Domain(0.0, 1.0), 6)
     agg = aggregate(curves, part)
     y = rng.standard_normal(25)
@@ -917,9 +872,8 @@ def test_pipeline_without_scalar_covariates_matches_direct_path():
         sigma2=np.full(s, 0.04),
         alpha_scales2=np.ones((s, 1)),
         lambda0=np.ones(s),
-        prior="dhs",
         config=FitConfig(),
-        y_hat=agg.matrix @ np.array([1.0, 1.0, 0.5, 0.5, 0.0, 0.0]),
+        y_hat=agg @ np.array([1.0, 1.0, 0.5, 0.5, 0.0, 0.0]),
         seed=0,
     )
     summary = analyze(draws, design, curves, part, y, np.random.default_rng(2), pred_draws=40)
@@ -935,7 +889,7 @@ def _direct_pricing(diag, y, y_pred, draws, design, agg, idx):
     emp = np.empty(diag.lambdas.size)
     pred = np.empty((diag.lambdas.size, idx.size))
     for i, delta in enumerate(diag.deltas):
-        fit_i = agg.matrix @ delta
+        fit_i = agg @ delta
         emp[i] = np.mean((adj - fit_i) ** 2)
         pred[i] = np.mean((adj_pred - fit_i[None, :]) ** 2, axis=1)
     best = int(np.argmin(emp))
@@ -949,7 +903,7 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
     curves, part, agg, y, design, draws, _, block_fit = _fabricated_fit(
         rng, n=60, k_cells=20, n_blocks=2
     )
-    assert np.linalg.matrix_rank(agg.matrix) < part.size
+    assert np.linalg.matrix_rank(agg) < part.size
     targets = draws.y_hat - design.z @ draws.alpha.mean(axis=0)
     targets = targets - block_fit
     path = fused_lasso_path(targets, agg)
@@ -960,7 +914,7 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
     emp, percent, best = _direct_pricing(diag, y, y_pred, draws, design, agg, idx)
 
     assert path.rank_deficient
-    assert diag.span_rank == np.linalg.matrix_rank(np.column_stack([agg.matrix, design.scores]))
+    assert diag.span_rank == np.linalg.matrix_rank(np.column_stack([agg, design.scores]))
     # the optimum sits above the rank boundary, where the path can store
     # knots whose fits agree to rounding; against those, membership is a
     # coin toss in either arithmetic, so this case must have none

@@ -11,7 +11,7 @@ from sofreg import cli, funcdata
 from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix
 from sofreg.funcdata import (
     CoefSet,
-    CurveObservation,
+    CurveGroup,
     CurveSet,
     build_design,
     fit_curves,
@@ -21,6 +21,14 @@ from sofreg.funcdata import (
     write_curves,
     write_scalars,
 )
+
+
+def curve_set(records):
+    """A ``CurveSet`` of (subject_id, t, x) records, in order."""
+    ids, ts, xs = zip(*records)
+    lengths = np.array([len(t) for t in ts])
+    t, x = np.concatenate(ts, dtype=float), np.concatenate(xs, dtype=float)
+    return CurveSet.from_columns(list(ids), lengths, t, x)
 
 
 def spline_curve(basis, coeffs, t):
@@ -38,8 +46,7 @@ def test_fit_recovers_exact_spline_coefficients():
     rng = np.random.default_rng(3)
     coeffs = rng.normal(size=9)
     t = np.linspace(0, 1, 60)
-    obs = CurveObservation("s1", t, spline_curve(basis, coeffs, t))
-    fit = fit_curves([obs], basis)[0]
+    fit = fit_curves(curve_set([("s1", t, spline_curve(basis, coeffs, t))]), basis)[0]
     assert np.max(np.abs(fit.coeffs - coeffs)) < 1e-8
 
 
@@ -49,12 +56,12 @@ def test_grouped_fit_matches_individual_fits():
     shared_t = np.linspace(0, 1, 40)
     other_t = np.linspace(0, 1, 55)
     obs = [
-        CurveObservation("a", shared_t, rng.normal(size=40)),
-        CurveObservation("b", other_t, rng.normal(size=55)),
-        CurveObservation("c", shared_t, rng.normal(size=40)),
+        ("a", shared_t, rng.normal(size=40)),
+        ("b", other_t, rng.normal(size=55)),
+        ("c", shared_t, rng.normal(size=40)),
     ]
-    batch = fit_curves(obs, basis)
-    solo = [fit_curves([o], basis)[0] for o in obs]
+    batch = fit_curves(curve_set(obs), basis)
+    solo = [fit_curves(curve_set([o]), basis)[0] for o in obs]
     for got, want in zip(batch, solo):
         assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-10
 
@@ -63,7 +70,7 @@ def test_fit_rank_deficient_grid_raises():
     basis = BSplineBasis(Domain(0.0, 1.0), 8, 3)
     t = np.linspace(0, 1, 5)
     with pytest.raises(ValueError, match="identify"):
-        fit_curves([CurveObservation("s", t, np.sin(t))], basis)
+        fit_curves(curve_set([("s", t, np.sin(t))]), basis)
 
 
 def test_scores_reproduce_integral_for_representable_curves():
@@ -74,10 +81,8 @@ def test_scores_reproduce_integral_for_representable_curves():
     rng = np.random.default_rng(5)
     t = np.linspace(0, 1, 80)
     coefs = rng.normal(size=(3, 10))
-    curves = fit_curves(
-        [CurveObservation(f"s{i}", t, spline_curve(basis_x, c, t)) for i, c in enumerate(coefs)],
-        basis_x,
-    )
+    records = [(f"s{i}", t, spline_curve(basis_x, c, t)) for i, c in enumerate(coefs)]
+    curves = fit_curves(curve_set(records), basis_x)
     scores = functional_scores(curves, basis_b)
     for _ in range(4):
         beta = rng.normal(size=8)
@@ -94,12 +99,12 @@ def test_subject_subinterval_integrates_only_over_it():
     t = np.linspace(0.2, 0.7, 60)  # subject observed on [0.2, 0.7] only
     sub_basis = BSplineBasis(Domain(0.2, 0.7), 7, 3)
     cx = rng.normal(size=7)
-    curve = fit_curves([CurveObservation("s", t, spline_curve(sub_basis, cx, t))], sub_basis)[0]
+    curves = fit_curves(curve_set([("s", t, spline_curve(sub_basis, cx, t))]), sub_basis)
     beta = rng.normal(size=9)
     want = midpoint_integral(
         lambda s: spline_curve(sub_basis, cx, s) * spline_curve(basis_b, beta, s), 0.2, 0.7
     )
-    row = functional_scores([curve], basis_b)[0]
+    row = functional_scores(curves, basis_b)[0]
     assert abs(row @ beta - want) < 1e-8
 
 
@@ -110,8 +115,7 @@ def _toy_design(n=20, seed=0, **kwargs):
     basis_b = BSplineBasis(dom, 6, 3)
     t = np.linspace(0, 1, 50)
     curves = fit_curves(
-        [CurveObservation(f"s{i}", t, rng.normal(size=50).cumsum() * 0.1) for i in range(n)],
-        basis_x,
+        curve_set([(f"s{i}", t, rng.normal(size=50).cumsum() * 0.1) for i in range(n)]), basis_x
     )
     y = rng.normal(size=n)
     return curves, basis_b, y, rng, kwargs
@@ -158,21 +162,23 @@ def test_build_design_validations():
         build_design(curves, basis_b, y, {"short": np.ones(19)})
     with pytest.raises(ValueError, match="at least two levels"):
         build_design(curves, basis_b, y, {"one": np.array(["a"] * 20)})
-    dup = [curves[0]] + curves[:-1]
+    dup = CoefSet(curves.ids[:1] + curves.ids[:-1], curves.groups)
     with pytest.raises(ValueError, match="duplicate"):
         build_design(dup, basis_b, y)
 
 
 def test_curve_file_round_trip(tmp_path):
     rng = np.random.default_rng(9)
-    curves = [
-        CurveObservation("s1", np.linspace(0, 1, 11), rng.normal(size=11)),
-        CurveObservation("s2", np.linspace(0.2, 0.9, 7), rng.normal(size=7)),
-    ]
+    curves = curve_set(
+        [
+            ("s1", np.linspace(0, 1, 11), rng.normal(size=11)),
+            ("s2", np.linspace(0.2, 0.9, 7), rng.normal(size=7)),
+        ]
+    )
     path = tmp_path / "curves.csv"
     write_curves(path, curves)
     back = read_curves(path)
-    assert [c.subject_id for c in back] == ["s1", "s2"]
+    assert back.ids == ["s1", "s2"]
     for orig, rt in zip(curves, back):
         assert np.array_equal(orig.t, rt.t) and np.array_equal(orig.x, rt.x)
         assert rt.domain == orig.domain
@@ -191,6 +197,23 @@ def test_scalar_file_round_trip(tmp_path):
     assert rsc["group"].tolist() == ["m", "f", "f"]
 
 
+def test_read_scalars_rejects_a_blank_covariate_naming_file_line_column_and_subject(tmp_path):
+    # read as text, a numeric column with one blank field would be
+    # dummy-coded: 49 columns for 50 subjects
+    rng = np.random.default_rng(14)
+    ids = [f"s{i}" for i in range(50)]
+    dose = rng.normal(size=50).tolist()
+    for column, subject in (("dose", 7), ("group", 0)):
+        scalars = {"dose": list(dose), "group": ["a", "b"] * 25}
+        scalars[column][subject] = " "
+        path = tmp_path / f"{column}.csv"
+        write_scalars(path, ids, rng.normal(size=50), scalars)
+        problem = f"line {subject + 2}: subject s{subject}: covariate {column} is blank"
+        with pytest.raises(ValueError, match=problem) as err:
+            read_scalars(path)
+        assert str(path) in str(err.value)
+
+
 def test_read_curves_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,time,value\na,0,1\n")
@@ -200,7 +223,7 @@ def test_read_curves_rejects_bad_header(tmp_path):
 
 def test_read_curves_header_only_file_is_empty_without_warning(tmp_path, recwarn):
     path = tmp_path / "empty.csv"
-    write_curves(path, [])
+    write_curves(path, CurveSet([], []))
     assert len(read_curves(path)) == 0
     assert len(recwarn) == 0
 
@@ -214,21 +237,20 @@ def test_read_curves_rejects_split_subject(tmp_path):
 
 def test_read_curves_quoted_ids_blank_lines_and_crlf(tmp_path):
     odd = 'x,"y"#z'  # a comma, a quote and a comment character
-    curves = [
-        CurveObservation(odd, [0.0, 0.5, 1.0], [1.0, -2.0, 3.0]),
-        CurveObservation("plain", [0.1, 0.2], [4.0, 5.0]),
-    ]
+    curves = curve_set(
+        [(odd, [0.0, 0.5, 1.0], [1.0, -2.0, 3.0]), ("plain", [0.1, 0.2], [4.0, 5.0])]
+    )
     path = tmp_path / "odd.csv"
     write_curves(path, curves)  # csv module line ends: CRLF
     assert b"\r\n" in path.read_bytes()
     back = read_curves(path)
-    assert [c.subject_id for c in back] == [odd, "plain"]
+    assert back.ids == [odd, "plain"]
     for orig, rt in zip(curves, back):
         assert np.array_equal(orig.t, rt.t) and np.array_equal(orig.x, rt.x)
 
     lines = path.read_bytes().split(b"\r\n")
     path.write_bytes(b"\r\n".join(lines[:3] + [b""] + lines[3:]))
-    assert [c.subject_id for c in read_curves(path)] == [odd, "plain"]
+    assert read_curves(path).ids == [odd, "plain"]
 
 
 def test_read_curves_rejects_non_numeric_value(tmp_path):
@@ -245,32 +267,26 @@ def test_curve_set_groups_by_grid_and_keeps_subject_order():
     rng = np.random.default_rng(11)
     shared, other = np.linspace(0, 1, 9), np.linspace(0, 1, 12)
     records = [
-        CurveObservation("a", shared, rng.normal(size=9)),
-        CurveObservation("b", other, rng.normal(size=12)),
-        CurveObservation("c", shared, rng.normal(size=9)),
-        CurveObservation("d", other[:9], rng.normal(size=9)),  # same length, another grid
+        ("a", shared, rng.normal(size=9)),
+        ("b", other, rng.normal(size=12)),
+        ("c", shared, rng.normal(size=9)),
+        ("d", other[:9], rng.normal(size=9)),  # same length, another grid
     ]
-    curves = CurveSet.of(records)
+    curves = curve_set(records)
     assert curves.ids == ["a", "b", "c", "d"]
     assert [g.rows.tolist() for g in curves.groups] == [[0, 2], [1], [3]]
     assert curves.groups[0].x.shape == (2, 9)
-    for rec, got in zip(records, curves):
-        assert got.subject_id == rec.subject_id
-        assert np.array_equal(got.t, rec.t) and np.array_equal(got.x, rec.x)
-    assert curves[-1].subject_id == "d" and [c.subject_id for c in curves[1:3]] == ["b", "c"]
+    for (_, t, x), got in zip(records, curves):
+        assert np.array_equal(got.t, t) and np.array_equal(got.x, x)
+    assert curves[-1].t is curves.groups[2].t and [c.x.size for c in curves[1:3]] == [12, 9]
     with pytest.raises(IndexError):
         curves[4]
 
     basis = BSplineBasis(Domain(0.0, 1.0), 6, 3)
     coefs = fit_curves(curves, basis)
     assert isinstance(coefs, CoefSet) and coefs.ids == curves.ids
-    # one coefficient group per grid; records regroup by (layout, domain)
+    # one coefficient group per grid
     assert [g.rows.tolist() for g in coefs.groups] == [[0, 2], [1], [3]]
-    again = CoefSet.of(list(coefs))
-    assert [g.rows.tolist() for g in again.groups] == [[0, 1, 2], [3]]
-    assert np.array_equal(again.groups[0].coeffs, np.stack([c.coeffs for c in coefs[:3]]))
-    basis_b = BSplineBasis(Domain(0.0, 1.0), 5, 3)
-    assert np.array_equal(functional_scores(coefs, basis_b), functional_scores(again, basis_b))
 
 
 def _long_file(path, rows):
@@ -324,7 +340,8 @@ def test_read_curves_memory_is_bounded_by_the_float_columns(tmp_path, monkeypatc
     n, size = 2000, 100
     rng = np.random.default_rng(12)
     grid = np.linspace(0.0, 1.0, size)
-    records = [CurveObservation(f"s{i:05d}", grid, rng.normal(size=size)) for i in range(n)]
+    values = rng.normal(size=(n, size))
+    records = CurveSet([f"s{i:05d}" for i in range(n)], [CurveGroup(np.arange(n), grid, values)])
     path = tmp_path / "cohort.csv"
     write_curves(path, records)
     monkeypatch.setattr(funcdata, "_CHUNK_ROWS", 1024)
@@ -342,18 +359,20 @@ def test_write_curves_bytes_match_the_csv_module(tmp_path):
     import csv
 
     rng = np.random.default_rng(13)
-    records = [
-        CurveObservation('q"uo,te#', np.linspace(0, 1, 4), rng.normal(size=4)),
-        CurveObservation("", np.linspace(0.5, 2, 3), np.array([-0.0, 1e-300, 2.5e17])),
-        CurveObservation("line\nbreak", np.linspace(0, 1, 4), rng.normal(size=4)),
-    ]
+    records = curve_set(
+        [
+            ('q"uo,te#', np.linspace(0, 1, 4), rng.normal(size=4)),
+            ("", np.linspace(0.5, 2, 3), np.array([-0.0, 1e-300, 2.5e17])),
+            ("line\nbreak", np.linspace(0, 1, 4), rng.normal(size=4)),
+        ]
+    )
     path = tmp_path / "mine.csv"
     write_curves(path, records)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["subject_id", "t", "x"])
-        for c in records:
+        for sid, c in zip(records.ids, records):
             for t, x in zip(c.t, c.x):
-                writer.writerow([c.subject_id, repr(float(t)), repr(float(x))])
+                writer.writerow([sid, repr(float(t)), repr(float(x))])
     assert path.read_bytes() == ref.read_bytes()

@@ -13,7 +13,7 @@ from scipy import signal, stats
 
 from sofreg.basis import BSplineBasis, Domain, second_difference_matrix
 from sofreg.dhs import DhsConfig
-from sofreg.funcdata import CurveObservation, RegressionDesign, fit_curves
+from sofreg.funcdata import CurveSet, RegressionDesign, fit_curves
 from sofreg.gibbs import (
     ArchivedCurves,
     FitConfig,
@@ -53,7 +53,6 @@ def toy_design(n=40, k=6, p=2, seed=0, intercept=True):
         z=z if z_cols else np.empty((n, 0)),
         z_names=names,
         penalized=np.array(penalized, dtype=bool),
-        subject_ids=[f"s{i}" for i in range(n)],
     )
 
 
@@ -219,7 +218,6 @@ def geweke_design(n=15, k=8, seed=1):
         z=rng.normal(size=(n, 1)),
         z_names=["w0"],
         penalized=np.array([True]),
-        subject_ids=[f"s{i}" for i in range(n)],
     )
 
 
@@ -293,7 +291,6 @@ def horseshoe_gibbs_oracle(y, x, dop, n_iter, rng, hyper=0.01):
 
 
 @pytest.mark.slow
-@pytest.mark.slow
 def test_zero_persistence_posterior_matches_horseshoe_oracle():
     rng = np.random.default_rng(55)
     n, k = 40, 8
@@ -308,7 +305,6 @@ def test_zero_persistence_posterior_matches_horseshoe_oracle():
         z=np.empty((n, 0)),
         z_names=[],
         penalized=np.zeros(0, dtype=bool),
-        subject_ids=[f"s{i}" for i in range(n)],
     )
     # pin the AR persistence at (essentially) zero: scales become independent
     config = FitConfig(
@@ -382,7 +378,6 @@ def test_fit_recovers_signal_and_beats_noise():
     design = RegressionDesign(
         y=y, scores=x, basis_b=basis,
         z=np.ones((n, 1)), z_names=["(intercept)"], penalized=np.array([False]),
-        subject_ids=[f"s{i}" for i in range(n)],
     )
     draws = fit(design, FitConfig(burnin=500, draws=500), seed=5)
     err = np.linalg.norm(draws.coeffs.mean(axis=0) - coeff_true)
@@ -471,11 +466,14 @@ def test_archive_keeps_fitted_curves_with_their_layout(tmp_path):
     # commas and quotes, which the JSON id file keeps
     rng = np.random.default_rng(4)
     grids = [np.linspace(0.0, 1.0, 12), np.linspace(0.2, 0.9, 9)]
-    records = [
-        CurveObservation(f'id {i}, "q"', grids[i % 2], rng.normal(size=grids[i % 2].size))
-        for i in range(7)
-    ]
-    coefs = fit_curves(records, BSplineBasis(Domain(0.0, 1.0), 6, 2))
+    t = [grids[i % 2] for i in range(7)]
+    curves = CurveSet.from_columns(
+        [f'id {i}, "q"' for i in range(7)],
+        np.array([g.size for g in t]),
+        np.concatenate(t),
+        np.concatenate([rng.normal(size=g.size) for g in t]),
+    )
+    coefs = fit_curves(curves, BSplineBasis(Domain(0.0, 1.0), 6, 2))
     grid = np.unique(np.concatenate(grids))
     draws = fit(toy_design(seed=3), quick_config(), seed=2)
     save_draws(draws, tmp_path / "arch", ArchivedCurves(coefs, grid, "ab" * 32))

@@ -17,7 +17,7 @@ from sofreg.simulate import (
     functional_signals,
     gen_curves,
     gen_responses,
-    run_study,
+    run_replicate,
     true_beta_smooth,
 )
 
@@ -209,8 +209,8 @@ def _failing_method(curves, y, design, rng):
 def test_run_study_is_deterministic_and_tidy():
     design = small_design(n=12, replicates=2, seed=42, signal_route="trapezoid")
     methods = {"noisy": _noisy_truth_method}
-    rows_a = run_study(design, methods)
-    rows_b = run_study(design, methods)
+    rows_a = [row for rep in range(2) for row in run_replicate(design, methods, rep)]
+    rows_b = [row for rep in range(2) for row in run_replicate(design, methods, rep)]
     assert rows_a == rows_b
     got = {(r["replicate"], r["method"], r["metric"]) for r in rows_a}
     for rep in (0, 1):
@@ -221,7 +221,8 @@ def test_run_study_is_deterministic_and_tidy():
 
 def test_run_study_records_failures_without_aborting():
     design = small_design(n=10, replicates=2, seed=3, signal_route="trapezoid")
-    rows = run_study(design, {"ok": _noisy_truth_method, "bad": _failing_method})
+    methods = {"ok": _noisy_truth_method, "bad": _failing_method}
+    rows = [row for rep in range(2) for row in run_replicate(design, methods, rep)]
     errors = [r for r in rows if r["metric"] == "error"]
     assert len(errors) == 2 and all(r["method"] == "bad" for r in errors)
     ok_rows = [r for r in rows if r["method"] == "ok" and r["metric"] == "l2_error"]
@@ -231,8 +232,8 @@ def test_run_study_records_failures_without_aborting():
 
 def test_run_study_method_order_does_not_change_data():
     design = small_design(n=8, replicates=1, seed=11, signal_route="trapezoid")
-    one = run_study(design, {"a": _noisy_truth_method, "b": _noisy_truth_method})
-    two = run_study(design, {"b": _noisy_truth_method, "a": _noisy_truth_method})
+    one = run_replicate(design, {"a": _noisy_truth_method, "b": _noisy_truth_method}, 0)
+    two = run_replicate(design, {"b": _noisy_truth_method, "a": _noisy_truth_method}, 0)
     val = lambda rows, name: [
         r["value"] for r in rows if r["method"] == name and r["metric"] == "l2_error"
     ]
