@@ -31,7 +31,6 @@ from sofreg.decision import (
     kkt_residual,
     path_delta_at,
 )
-from sofreg.dhs import DhsConfig
 from sofreg.funcdata import (
     CoefCurve,
     CoefSet,
@@ -71,7 +70,6 @@ __all__ = [
     "CurveObservation",
     "CurveSet",
     "DecisionSummary",
-    "DhsConfig",
     "Domain",
     "FitConfig",
     "GpSettings",

@@ -33,7 +33,6 @@ import numpy as np
 import yaml
 
 from sofreg.decision import PRED_DRAWS, Partition, analyze, kkt_residual
-from sofreg.dhs import DhsConfig
 from sofreg.funcdata import (
     assemble_design,
     build_design,
@@ -114,8 +113,6 @@ def _defaults(command: str) -> dict:
     if command == "simulate":
         return {**_COMMON, **study}
     if command == "fit":
-        sampler = asdict(FitConfig())
-        sampler["refresh"] = sampler.pop("dhs")["refresh"]
         return {
             **_COMMON,
             "curves": None,
@@ -125,7 +122,7 @@ def _defaults(command: str) -> dict:
                 "coef_size": pipeline["coef_basis_size"],
                 "degree": pipeline["degree"],
             },
-            "sampler": sampler,
+            "sampler": asdict(FitConfig()),
         }
     if command == "summarize":
         return {
@@ -338,9 +335,7 @@ def cmd_simulate(resolved: dict) -> int:
 
 
 def cmd_fit(resolved: dict) -> int:
-    sampler = dict(resolved["sampler"])
-    refresh = sampler.pop("refresh")
-    config = FitConfig(**sampler, dhs=DhsConfig(refresh=refresh))
+    config = FitConfig(**resolved["sampler"])
     curves_path = _require_file(resolved, "curves")
     if resolved.get("scalars") is None:
         raise ConfigError("fit needs a scalar file with the response column")

@@ -2,10 +2,11 @@
 
 The second differences of the regression-function coefficients get scales
 ``lambda_k = exp(h_k / 2)`` whose logs follow a stationary AR(1) with
-Z-distributed innovations.  With innovation parameters (1/2, 1/2) and unit
-AR scale this makes each marginal scale a half-Cauchy: a horseshoe whose
-local scales are dependent along the domain, shrinking flat stretches hard
-while letting neighbouring coefficients share evidence of curvature.
+Z(1/2, 1/2) innovations and a Beta(10, 2) prior on (phi + 1)/2 (Kowal,
+Matteson and Ruppert, 2019).  With unit AR scale each marginal scale is a
+half-Cauchy: a horseshoe whose local scales are dependent along the
+domain, shrinking flat stretches hard while letting neighbouring
+coefficients share evidence of curvature.
 
 Every conditional here is conjugate after two data augmentations:
 
@@ -44,6 +45,8 @@ LOG_CHI2_VAR = np.array(
 )
 
 LOG_SQUARE_JITTER = 1e-10  # keeps log(d^2) finite when a difference hits zero
+
+PHI_PRIOR = (10.0, 2.0)  # Beta prior on (phi + 1)/2, the AR persistence
 
 
 # --- Polya-Gamma sampling ---------------------------------------------------
@@ -160,38 +163,7 @@ def sample_polya_gamma_vec(tilts: np.ndarray, rng: np.random.Generator) -> np.nd
     return out
 
 
-def polya_gamma_mean(tilt: float) -> float:
-    """E[PG(1, tilt)]; closed form used for initialization and tests."""
-    if tilt == 0.0:
-        return 0.25
-    return math.tanh(tilt / 2.0) / (2.0 * tilt)
-
-
-# --- state and configuration ------------------------------------------------
-
-
-@dataclass
-class DhsConfig:
-    """Hyperparameters of the shrinkage process.
-
-    The innovations are Z(a, b) with a + b = 1, so that their Polya-Gamma
-    auxiliaries are PG(1, .) and drawn exactly; other sums are rejected.
-    ``a = b = 1/2`` gives the horseshoe-type calibration; the AR
-    persistence has a Beta(phi_a, phi_b) prior on (phi+1)/2.
-    """
-
-    a: float = 0.5
-    b: float = 0.5
-    phi_a: float = 10.0
-    phi_b: float = 2.0
-    refresh: int = 5
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0 and abs(self.a + self.b - 1.0) <= 1e-12):
-            raise ValueError(
-                f"DHS innovation parameters need a > 0, b > 0 and a + b = 1; "
-                f"got a={self.a}, b={self.b}"
-            )
+# --- state ------------------------------------------------------------------
 
 
 @dataclass
@@ -225,8 +197,8 @@ def init_dhs_state(d2: np.ndarray) -> DhsState:
         mu_h=level,
         phi=0.9,
         indicators=np.full(m, int(np.argmax(LOG_CHI2_PROB))),
-        xi=np.full(m, polya_gamma_mean(0.0)),
-        xi_mu=polya_gamma_mean(0.0),
+        xi=np.full(m, 0.25),  # E[PG(1, 0)]
+        xi_mu=0.25,
     )
 
 
@@ -270,14 +242,15 @@ def _banded_noise(chol: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _log_vol_level_joint(
-    d2: np.ndarray, state: DhsState, config: DhsConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, float]:
+    d2: np.ndarray, state: DhsState
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
     """Precision pieces of the joint Gaussian for (h, mu_h).
 
-    Returns (diag, offdiag, lin_h, coupling, level_prec, level_lin): the
-    tridiagonal h block, the h linear term with the level terms removed,
-    the dense h-level coupling column, and the level's own precision and
-    linear term.
+    Returns (diag, offdiag, lin_h, coupling, level_prec): the tridiagonal
+    h block, the h linear term with the level terms removed, the dense
+    h-level coupling column, and the level's own precision.  The
+    innovations have mean zero given their auxiliaries, so the level has
+    no linear term of its own.
     """
     m = state.size
     ystar = np.log(np.asarray(d2) ** 2 + LOG_SQUARE_JITTER)
@@ -285,27 +258,22 @@ def _log_vol_level_joint(
     obs_var = LOG_CHI2_VAR[state.indicators]
     xi = state.xi
     phi = state.phi
-    kappa = (config.a - config.b) / 2.0
-    c = kappa / xi
 
     diag = 1.0 / obs_var + xi
     diag[:-1] += phi**2 * xi[1:]
     offdiag = -phi * xi[1:]
 
     lin_h = (ystar - obs_mean) / obs_var
-    lin_h += xi * c
-    lin_h[:-1] -= phi * xi[1:] * c[1:]
 
     ar_ones = np.r_[1.0, np.full(m - 1, 1.0 - phi)]  # row sums of the AR operator
     coupling = -xi * ar_ones
     coupling[:-1] += phi * xi[1:] * ar_ones[1:]
     level_prec = state.xi_mu + float(xi @ ar_ones**2)
-    level_lin = -float((xi * c) @ ar_ones)
-    return diag, offdiag, lin_h, coupling, level_prec, level_lin
+    return diag, offdiag, lin_h, coupling, level_prec
 
 
 def sample_log_vols_and_level(
-    d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.Generator
+    d2: np.ndarray, state: DhsState, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
     """One Gaussian draw of the path and its level together.
 
@@ -316,14 +284,12 @@ def sample_log_vols_and_level(
     """
     from scipy.linalg import cho_solve_banded
 
-    diag, offdiag, lin_h, coupling, level_prec, level_lin = _log_vol_level_joint(
-        d2, state, config
-    )
+    diag, offdiag, lin_h, coupling, level_prec = _log_vol_level_joint(d2, state)
     chol = _banded_chol(diag, offdiag)
     h_inv_coupling = cho_solve_banded((chol, True), coupling)
     h_inv_lin = cho_solve_banded((chol, True), lin_h)
     marg_prec = level_prec - float(coupling @ h_inv_coupling)
-    marg_lin = level_lin - float(coupling @ h_inv_lin)
+    marg_lin = -float(coupling @ h_inv_lin)
     mu = marg_lin / marg_prec + rng.standard_normal() / math.sqrt(marg_prec)
     mean_h = h_inv_lin - h_inv_coupling * mu
     h = mean_h + _banded_noise(chol, rng.standard_normal(diag.size))
@@ -346,24 +312,24 @@ def update_innovation_auxiliaries(state: DhsState, rng: np.random.Generator) -> 
     state.xi_mu = float(draws[-1])
 
 
-def _phi_log_density(phi: float, state: DhsState, config: DhsConfig) -> float:
+def _phi_log_density(phi: float, state: DhsState) -> float:
     centered = state.h - state.mu_h
-    resid = centered[1:] - phi * centered[:-1] - (config.a - config.b) / (2.0 * state.xi[1:])
+    resid = centered[1:] - phi * centered[:-1]
     loglik = -0.5 * float(np.sum(state.xi[1:] * resid**2))
-    logprior = (config.phi_a - 1.0) * math.log((1.0 + phi) / 2.0) + (
-        config.phi_b - 1.0
-    ) * math.log((1.0 - phi) / 2.0)
+    phi_a, phi_b = PHI_PRIOR
+    logprior = (phi_a - 1.0) * math.log((1.0 + phi) / 2.0)
+    logprior += (phi_b - 1.0) * math.log((1.0 - phi) / 2.0)
     return loglik + logprior
 
 
-def sample_ar_persistence(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> float:
+def sample_ar_persistence(state: DhsState, rng: np.random.Generator) -> float:
     """Slice sampler for phi on (-1, 1) with interval shrinkage."""
     current = state.phi
-    height = _phi_log_density(current, state, config) - rng.standard_exponential()
+    height = _phi_log_density(current, state) - rng.standard_exponential()
     lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
     while True:
         cand = rng.uniform(lo, hi)
-        if _phi_log_density(cand, state, config) > height:
+        if _phi_log_density(cand, state) > height:
             return cand
         if cand < current:
             lo = cand
@@ -371,18 +337,13 @@ def sample_ar_persistence(state: DhsState, config: DhsConfig, rng: np.random.Gen
             hi = cand
 
 
-def _z_log_density(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    return a * x - (a + b) * np.logaddexp(0.0, x)
+def _z_log_density(x: np.ndarray) -> np.ndarray:
+    # Z(1/2, 1/2), up to its constant
+    return 0.5 * x - np.logaddexp(0.0, x)
 
 
 def _site_log_densities(
-    sites: np.ndarray,
-    h: np.ndarray,
-    ystar: np.ndarray,
-    mu: float,
-    phi: float,
-    a: float,
-    b: float,
+    sites: np.ndarray, h: np.ndarray, ystar: np.ndarray, mu: float, phi: float
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Collapsed log densities of the given sites, as one function of their values.
 
@@ -401,16 +362,14 @@ def _site_log_densities(
         eps = obs - x
         val = 0.5 * (eps - np.exp(np.minimum(eps, 690.0)))
         val[eps > 690.0] = -np.inf
-        val += _z_log_density(x - back, a, b)
-        val += has_next * _z_log_density(ahead - phi * x, a, b)
+        val += _z_log_density(x - back)
+        val += has_next * _z_log_density(ahead - phi * x)
         return val
 
     return logdens
 
 
-def sample_log_vols_sitewise(
-    d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.Generator
-) -> None:
+def sample_log_vols_sitewise(d2: np.ndarray, state: DhsState, rng: np.random.Generator) -> None:
     """One pass of single-site slice updates on the volatility path, in place.
 
     Complements the blocked Gaussian draw: that draw conditions on the
@@ -435,7 +394,7 @@ def sample_log_vols_sitewise(
     width = 6.0
     step = np.array([[-width], [width]])  # step-out moves of the two bracket ends
     for sites in (np.arange(0, h.size, 2), np.arange(1, h.size, 2)):
-        logdens = _site_log_densities(sites, h, ystar, state.mu_h, state.phi, config.a, config.b)
+        logdens = _site_log_densities(sites, h, ystar, state.mu_h, state.phi)
         current = h[sites]
         drop = rng.standard_exponential(sites.size)
         lo = current - width * rng.uniform(size=sites.size)
@@ -462,22 +421,22 @@ def sample_log_vols_sitewise(
         h[sites] = cand
 
 
-def _level_log_density(mu: float, h: np.ndarray, phi: float, a: float, b: float) -> float:
+def _level_log_density(mu: float, h: np.ndarray, phi: float) -> float:
     """Log density of the level given the path, all auxiliaries integrated out.
 
-    The innovations eta_k(mu) keep their closed-form Z(a, b) law, and the
-    level itself is Z(1/2, 1/2), so the collapsed conditional is a sum of
-    log-concave terms: a * eta - (a + b) * log(1 + exp(eta)).
+    The innovations eta_k(mu) keep their closed-form Z(1/2, 1/2) law, as
+    does the level itself, so the collapsed conditional is a sum of
+    log-concave terms: eta / 2 - log(1 + exp(eta)).
     """
     eta = np.empty_like(h)
     eta[0] = h[0] - mu
     eta[1:] = (h[1:] - mu) - phi * (h[:-1] - mu)
-    loglik = float(a * eta.sum() - (a + b) * np.logaddexp(0.0, eta).sum())
+    loglik = float(0.5 * eta.sum() - np.logaddexp(0.0, eta).sum())
     logprior = 0.5 * mu - math.log1p(math.exp(-abs(mu))) - max(mu, 0.0)
     return loglik + logprior
 
 
-def sample_ar_level_collapsed(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> float:
+def sample_ar_level_collapsed(state: DhsState, rng: np.random.Generator) -> float:
     """Slice sampler for the level with the augmentation variables collapsed.
 
     The Polya-Gamma route leaves the pair (level, auxiliary) nearly frozen
@@ -489,7 +448,7 @@ def sample_ar_level_collapsed(state: DhsState, config: DhsConfig, rng: np.random
     current = state.mu_h
 
     def logdens(mu: float) -> float:
-        return _level_log_density(mu, state.h, state.phi, config.a, config.b)
+        return _level_log_density(mu, state.h, state.phi)
 
     height = logdens(current) - rng.standard_exponential()
     width = 8.0
@@ -510,11 +469,7 @@ def sample_ar_level_collapsed(state: DhsState, config: DhsConfig, rng: np.random
 
 
 def sample_boundary_scale(
-    b_first: float,
-    b_last: float,
-    rng: np.random.Generator,
-    shape: float = 0.01,
-    rate: float = 0.01,
+    b_first: float, b_last: float, rng: np.random.Generator, shape: float, rate: float
 ) -> float:
     """Scale of the two unpenalized boundary coefficients (conjugate gamma)."""
     post_shape = shape + 1.0
@@ -522,7 +477,7 @@ def sample_boundary_scale(
     return float(1.0 / math.sqrt(rng.gamma(post_shape, 1.0 / post_rate)))
 
 
-def dhs_step(d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.Generator) -> None:
+def dhs_step(d2: np.ndarray, state: DhsState, refresh: int, rng: np.random.Generator) -> None:
     """One full sweep over the latent shrinkage process, in place.
 
     Order: mixture indicators, the blocked (path, level) draw, the
@@ -533,17 +488,17 @@ def dhs_step(d2: np.ndarray, state: DhsState, config: DhsConfig, rng: np.random.
     persistence conditional does not use it.  Any fixed order of valid
     blocks leaves the conditional law invariant.
 
-    The cycle runs ``config.refresh`` times.  The auxiliary variables
+    The cycle runs ``refresh`` times.  The auxiliary variables
     (mixture indicators, Polya-Gamma scales) and the latent path relax
     slowly relative to the coefficient block, so repeats shorten their
     autocorrelation time.  They are not cheap: each cycle costs as much
     as the first.  At 53 coefficients and n=500 a sweep took 1.8 ms with
     one cycle and 8.2 ms with five, on one core of a 2-CPU machine.
     """
-    for _ in range(config.refresh):
+    for _ in range(refresh):
         state.indicators = sample_mixture_indicators(d2, state.h, rng)
-        state.h, state.mu_h = sample_log_vols_and_level(d2, state, config, rng)
-        sample_log_vols_sitewise(d2, state, config, rng)
-        state.mu_h = sample_ar_level_collapsed(state, config, rng)
+        state.h, state.mu_h = sample_log_vols_and_level(d2, state, rng)
+        sample_log_vols_sitewise(d2, state, rng)
+        state.mu_h = sample_ar_level_collapsed(state, rng)
         update_innovation_auxiliaries(state, rng)
-        state.phi = sample_ar_persistence(state, config, rng)
+        state.phi = sample_ar_persistence(state, rng)

@@ -473,6 +473,9 @@ def read_scalars(path) -> tuple[list[str], np.ndarray, dict[str, np.ndarray]]:
         if header is None or [h.strip() for h in header[:2]] != ["subject_id", "response"]:
             raise ValueError(f"{path}: expected header subject_id,response,...")
         names = [h.strip() for h in header[2:]]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"{path}: covariate column {', '.join(repeated)} appears more than once")
         ids: list[str] = []
         y: list[float] = []
         raw: list[list[str]] = []

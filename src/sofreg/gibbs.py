@@ -22,20 +22,14 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from sofreg.basis import BSplineBasis, Domain, eval_basis_matrix, second_difference_matrix
-from sofreg.dhs import (
-    DhsConfig,
-    DhsState,
-    dhs_step,
-    init_dhs_state,
-    sample_boundary_scale,
-)
+from sofreg.dhs import PHI_PRIOR, DhsState, dhs_step, init_dhs_state, sample_boundary_scale
 from sofreg.funcdata import CoefGroup, CoefSet, RegressionDesign
 
 log = logging.getLogger(__name__)
@@ -56,24 +50,26 @@ class FitConfig:
     noise and scalar-coefficient variances; ``scale_shape``/``scale_rate``
     those on inverse squared smoothing scales (global, local, and boundary).
     The defaults are the diffuse (0.01, 0.01) choices; sampler-validation
-    harnesses use tamer proper values.
+    harnesses use tamer proper values.  ``refresh`` is how many times each
+    sweep cycles through the ``dhs`` prior's latent moves; the shrinkage
+    process's own hyperparameters are fixed in ``sofreg.dhs``.
     """
 
     prior: str = "dhs"
     burnin: int = 10000
     draws: int = 10000
     thin: int = 1
+    refresh: int = 5
     var_shape: float = 0.01
     var_rate: float = 0.01
     scale_shape: float = 0.01
     scale_rate: float = 0.01
-    dhs: DhsConfig = field(default_factory=DhsConfig)
 
     def __post_init__(self) -> None:
         if self.prior not in PRIOR_KINDS:
             raise ValueError(f"unknown prior {self.prior!r}; expected one of {PRIOR_KINDS}")
-        if self.draws < 1 or self.burnin < 0 or self.thin < 1:
-            raise ValueError("need draws >= 1, burnin >= 0, thin >= 1")
+        if self.draws < 1 or self.burnin < 0 or self.thin < 1 or self.refresh < 1:
+            raise ValueError("need draws >= 1, burnin >= 0, thin >= 1, refresh >= 1")
         if self.draws < self.thin:
             raise ValueError(f"thin ({self.thin}) exceeds draws ({self.draws}): no draw would be kept")
 
@@ -240,7 +236,7 @@ class _GibbsCore:
         beta, scales = self.beta, self.scales
         d2 = (self.diff_op @ beta)[1:-1]
         if cfg.prior == "dhs":
-            dhs_step(d2, scales.dhs_state, cfg.dhs, rng)
+            dhs_step(d2, scales.dhs_state, cfg.refresh, rng)
         elif cfg.prior == "pspline":
             rate = cfg.scale_rate + 0.5 * float(d2 @ d2)
             scales.smooth_var = 1.0 / rng.gamma(cfg.scale_shape + 0.5 * d2.size, 1.0 / rate)
@@ -514,6 +510,35 @@ def _read_manifest(directory: Path) -> dict:
     return manifest
 
 
+# what archives written before ``refresh`` joined ``FitConfig`` nest under
+# ``dhs``, besides ``refresh``: the process's hyperparameters, at the only
+# values sofreg fits
+_NESTED_DHS = {"a": 0.5, "b": 0.5, "phi_a": PHI_PRIOR[0], "phi_b": PHI_PRIOR[1]}
+
+
+def _archived_config(directory: Path, settings: dict) -> FitConfig:
+    """The ``FitConfig`` a manifest records; an error naming the archive
+    unless its keys are exactly ``FitConfig``'s fields."""
+    settings = dict(settings)
+    nested = dict(settings.pop("dhs", None) or {})
+    if "refresh" in nested:
+        settings["refresh"] = nested.pop("refresh")
+    other = [f"dhs.{k}={v!r}" for k, v in nested.items() if (k, v) not in _NESTED_DHS.items()]
+    if other:
+        raise ValueError(
+            f"{directory}: archive was fit with DHS settings sofreg no longer has: {', '.join(other)}"
+        )
+    names = {f.name for f in fields(FitConfig)}
+    problems = [
+        f"{what} keys {', '.join(sorted(keys))}"
+        for what, keys in (("unknown", settings.keys() - names), ("missing", names - settings.keys()))
+        if keys
+    ]
+    if problems:
+        raise ValueError(f"{directory}: archive config has {'; '.join(problems)}")
+    return FitConfig(**settings)
+
+
 def load_draws(directory) -> PosteriorDraws:
     """Rebuild a ``PosteriorDraws`` from an archive directory (either format)."""
     directory = Path(directory)
@@ -531,14 +556,11 @@ def load_draws(directory) -> PosteriorDraws:
     for name, meta in listed.items():
         data = np.fromfile(directory / meta["file"], dtype="<f8")
         arrays[name] = data.reshape(meta["shape"])
-    config_dict = dict(manifest["config"])
-    config_dict["dhs"] = DhsConfig(**config_dict["dhs"])
-    config = FitConfig(**config_dict)
     return PosteriorDraws(
         basis=_basis_from_meta(manifest["basis"]),
         alpha_names=list(manifest["alpha_names"]),
         penalized=np.array(manifest["penalized"], dtype=bool),
-        config=config,
+        config=_archived_config(directory, manifest["config"]),
         seed=manifest.get("seed"),
         **{name: arrays[name] for name in _ARRAY_FIELDS[:6]},
         **{name: arrays.get(name) for name in _ARRAY_FIELDS[6:]},

@@ -21,7 +21,6 @@ from sofreg.decision import (
     ci_selection,
     selection_on_grid,
 )
-from sofreg.dhs import DhsConfig
 from sofreg.funcdata import assemble_design
 from sofreg.gibbs import PRIOR_KINDS, FitConfig, fit, summarize_coefficient
 from sofreg.simulate import MethodFn, MethodResult, SimulationDesign
@@ -62,7 +61,7 @@ def _fit_once(prior, curves, y, rng, s: MethodSettings):
         burnin=s.burnin,
         draws=s.draws,
         thin=s.thin,
-        dhs=DhsConfig(refresh=s.refresh),
+        refresh=s.refresh,
     )
     draws = fit(reg_design, config, rng=rng)
     return coef_curves, reg_design, draws

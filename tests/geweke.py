@@ -13,9 +13,8 @@ import math
 import numpy as np
 
 from sofreg.dhs import (
-    DhsConfig,
+    PHI_PRIOR,
     DhsState,
-    polya_gamma_mean,
     sample_mixture_indicators,
     update_innovation_auxiliaries,
 )
@@ -29,15 +28,15 @@ def sample_z_dist(a: float, b: float, rng: np.random.Generator, size=None) -> np
     return np.log(x) - np.log1p(-x)
 
 
-def prior_step(state: DhsState, config: DhsConfig, rng: np.random.Generator) -> None:
+def prior_step(state: DhsState, rng: np.random.Generator) -> None:
     """Redraw the path and its auxiliaries from the prior given (mu_h, phi), in place.
 
-    The path is forward-simulated as an AR(1) with Z(a, b) innovations;
+    The path is forward-simulated as an AR(1) with Z(1/2, 1/2) innovations;
     the innovation and level Polya-Gamma variables are then drawn given
     the new path.
     """
     m = state.size
-    eta = sample_z_dist(config.a, config.b, rng, size=m)
+    eta = sample_z_dist(0.5, 0.5, rng, size=m)
     h = np.empty(m)
     h[0] = state.mu_h + eta[0]
     for k in range(1, m):
@@ -60,10 +59,10 @@ def prior_draw(core: _GibbsCore, rng: np.random.Generator) -> None:
         scales.dhs_state = DhsState(
             h=np.zeros(m),
             mu_h=float(sample_z_dist(0.5, 0.5, rng)),
-            phi=2.0 * rng.beta(cfg.dhs.phi_a, cfg.dhs.phi_b) - 1.0,
+            phi=2.0 * rng.beta(*PHI_PRIOR) - 1.0,
             indicators=np.zeros(m, dtype=int),
-            xi=np.full(m, polya_gamma_mean(0.0)),
-            xi_mu=polya_gamma_mean(0.0),
+            xi=np.full(m, 0.25),
+            xi_mu=0.25,
         )
     elif cfg.prior == "pspline":
         scales.smooth_var = 1.0 / rng.gamma(cfg.scale_shape, 1.0 / cfg.scale_rate)
@@ -96,7 +95,7 @@ def refresh_latents_from_prior(core: _GibbsCore, rng: np.random.Generator) -> No
         raise ValueError("prior simulation requires all scalar columns penalized")
     scales, dop = core.scales, core.diff_op
     if cfg.prior == "dhs":
-        prior_step(scales.dhs_state, cfg.dhs, rng)
+        prior_step(scales.dhs_state, rng)
     lam = scales.variance_vector(cfg.prior, dop.shape[0])
     core.beta = np.linalg.solve(dop, np.sqrt(lam) * rng.standard_normal(lam.size))
     if cfg.prior == "dhs":

@@ -39,7 +39,6 @@ from sofreg.decision import (
     selection_on_grid,
 )
 from sofreg.dhs import (
-    DhsConfig,
     _log_vol_level_joint,
     dhs_step,
     sample_log_vols_and_level,
@@ -101,7 +100,7 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
     """
     design = design or _small_design()
     k = design.basis_b.size
-    cfg = FitConfig(prior=prior, burnin=2, draws=2, dhs=DhsConfig(refresh=1))
+    cfg = FitConfig(prior=prior, burnin=2, draws=2, refresh=1)
     core = _GibbsCore(design, cfg)
     core.set_y(design.y)
     core.init_from_data()
@@ -150,7 +149,7 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
     if prior == "dhs":
         # latent-process draw replayed with the same generator; its own
         # conditionals are checked against dense oracles separately
-        dhs_step(d2, dhs_state0, cfg.dhs, rng_replay)
+        dhs_step(d2, dhs_state0, cfg.refresh, rng_replay)
     elif prior == "pspline":
         rate = cfg.scale_rate + 0.5 * float(d2 @ d2)
         smooth = 1.0 / rng_replay.gamma(cfg.scale_shape + 0.5 * d2.size, 1.0 / rate)
@@ -204,8 +203,8 @@ def _log_vol_dense_oracle() -> None:
     """Banded joint (path, level) conditional vs an explicit (m+1)-dimensional construction.
 
     The Gaussian pieces are written as matrices on x = (h, mu_h): the
-    observation precision on h, the innovations eta = D x with Polya-Gamma
-    precisions, and the level's own Polya-Gamma precision.  The seeded draw
+    observation precision on h, the mean-zero innovations eta = D x with
+    Polya-Gamma precisions, and the level's own Polya-Gamma precision.  The seeded draw
     is replayed densely, the level from its Schur-complement marginal and
     the path given the level, and that replay is checked to have the
     joint's mean and covariance.
@@ -217,7 +216,6 @@ def _log_vol_dense_oracle() -> None:
         DhsState,
     )
 
-    config = DhsConfig(a=0.3, b=0.7)  # asymmetric, so the innovation means enter
     rng = np.random.default_rng(21)
     m = 6
     state = DhsState(
@@ -237,25 +235,19 @@ def _log_vol_dense_oracle() -> None:
     for j in range(1, m):
         trans[j, j - 1] = -state.phi
     innov = np.hstack([trans, -(trans @ np.ones((m, 1)))])  # eta = innov @ (h, mu_h)
-    xi_mat = np.diag(state.xi)
-    c = (config.a - config.b) / 2.0 / state.xi  # innovation means given xi
-    prec = innov.T @ xi_mat @ innov
+    prec = innov.T @ np.diag(state.xi) @ innov
     prec[:m, :m] += np.diag(1.0 / obs_var)
     prec[m, m] += state.xi_mu
-    lin = innov.T @ xi_mat @ c
-    lin[:m] += (ystar - obs_mean) / obs_var
+    lin = np.r_[(ystar - obs_mean) / obs_var, 0.0]
 
-    diag, offdiag, lin_h, coupling, level_prec, level_lin = _log_vol_level_joint(
-        d2, state, config
-    )
+    diag, offdiag, lin_h, coupling, level_prec = _log_vol_level_joint(d2, state)
     band = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     assert np.max(np.abs(band - prec[:m, :m])) < 1e-10
     assert np.max(np.abs(coupling - prec[:m, m])) < 1e-10
     assert abs(level_prec - prec[m, m]) < 1e-10
     assert np.max(np.abs(lin_h - lin[:m])) < 1e-10
-    assert abs(level_lin - lin[m]) < 1e-10
 
-    h_banded, mu_banded = sample_log_vols_and_level(d2, state, config, np.random.default_rng(0))
+    h_banded, mu_banded = sample_log_vols_and_level(d2, state, np.random.default_rng(0))
     replay = np.random.default_rng(0)
     q_hh, q_hm = prec[:m, :m], prec[:m, m]
     schur = prec[m, m] - q_hm @ np.linalg.solve(q_hh, q_hm)
@@ -481,7 +473,7 @@ def test_criterion_06_linear_scaling_in_n():
     # the sizes and the fastest round counts.
     sizes = (500, 5000, 50000)
     settings = MethodSettings(curve_basis_size=53, coef_basis_size=53)
-    cfg = FitConfig(prior="dhs", burnin=900, draws=100, dhs=DhsConfig(refresh=1))
+    cfg = FitConfig(prior="dhs", burnin=900, draws=100, refresh=1)
     from sofreg.funcdata import assemble_design
 
     designs = []

@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -25,7 +26,6 @@ import pytest
 import sofreg
 from sofreg import cli
 from sofreg.cli import main, read_table
-from sofreg.dhs import DhsConfig
 from sofreg.funcdata import CurveSet, read_curves, read_scalars, write_curves, write_scalars
 from sofreg.gibbs import FitConfig, effective_sample_size, load_curves, load_draws, stable_hash
 from sofreg.methods import MethodSettings
@@ -188,6 +188,14 @@ def test_fit_rejects_thin_above_draws_before_reading(tmp_path, capsys):
     assert not (out / "archive").exists()
 
 
+def test_fit_rejects_refresh_below_one_before_reading(tmp_path, capsys):
+    # refresh 0 would run every sweep without a latent move: phi and h frozen
+    fit_cfg = write_config(tmp_path / "fit.yaml", {"sampler": {"refresh": 0}})
+    argv = ["fit", "--config", fit_cfg, "--curves", str(tmp_path / "none.csv")]
+    assert run(argv + ["--out-dir", str(tmp_path / "f")]) == cli.EXIT_CONFIG
+    assert "refresh >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "bad_row, problem",
     [("s000003\n", "fields"), ("s000003,zz\n", "'zz' is not a number")],
@@ -316,9 +324,7 @@ def test_resolved_defaults_rebuild_the_library_defaults():
     def resolved(command):
         return cli.resolve_config(command, cli.build_parser().parse_args([command]))
 
-    sampler = dict(resolved("fit")["sampler"])
-    refresh = sampler.pop("refresh")
-    assert FitConfig(**sampler, dhs=DhsConfig(refresh=refresh)) == FitConfig()
+    assert FitConfig(**resolved("fit")["sampler"]) == FitConfig()
 
     replicate = resolved("replicate")
     settings = MethodSettings(**replicate["pipeline"])
@@ -346,6 +352,12 @@ def test_resolved_defaults_rebuild_the_library_defaults():
     for truth in (resolved("simulate")["truth"], resolved("evaluate")["truth"]):
         as_step = cli._truth_from_cfg(truth | {"kind": "locally_constant"})
         assert as_step == step
+
+
+def test_fit_sampler_keys_are_the_fit_config_fields():
+    # one list of sampler settings: a FitConfig field the CLI cannot set, or a
+    # CLI key FitConfig does not take, fails here before it fails a user
+    assert set(cli._defaults("fit")["sampler"]) == {f.name for f in fields(FitConfig)}
 
 
 @pytest.mark.parametrize(
@@ -476,8 +488,17 @@ def test_fit_and_summarize_with_a_numeric_and_a_string_covariate(pipeline_dirs, 
     [
         (lambda m: m["arrays"].pop("sigma2"), "lacks required arrays: sigma2"),
         (lambda m: m.update(blocks=[{"name": "g"}]), "adaptive covariate blocks"),
+        (lambda m: m["config"].update(ridge=1.0), "unknown keys ridge"),
+        (lambda m: m["config"].pop("draws"), "missing keys draws"),
+        (
+            # the nested layout of archives written before refresh joined FitConfig
+            lambda m: m["config"].update(
+                dhs={"a": 0.3, "b": 0.7, "phi_a": 10.0, "phi_b": 2.0, "refresh": m["config"].pop("refresh")}
+            ),
+            "DHS settings sofreg no longer has: dhs.a=0.3, dhs.b=0.7",
+        ),
     ],
-    ids=["missing-array", "blocks"],
+    ids=["missing-array", "blocks", "unknown-config-key", "missing-config-key", "other-dhs-prior"],
 )
 def test_summarize_rejects_a_damaged_archive_naming_it(pipeline_dirs, tmp_path, capsys, damage, problem):
     root, sim, fit_dir, _ = pipeline_dirs
@@ -658,6 +679,22 @@ def test_subject_ids_with_commas_and_quotes_survive_fit_and_summarize(pipeline_d
 
 
 # --- package shape ----------------------------------------------------------------------
+
+
+def test_fit_and_summarize_reject_a_repeated_covariate_column(pipeline_dirs, tmp_path, capsys):
+    root, sim, fit_dir, _ = pipeline_dirs
+    ids, y, _ = read_scalars(sim / "scalars_rep000.csv")
+    scalars = tmp_path / "scalars.csv"
+    write_scalars(scalars, ids, y, {"x": np.ones(len(ids)), "x2": np.zeros(len(ids))})
+    scalars.write_text(scalars.read_text().replace(",x2", ",x", 1))  # header: ...,x,x
+    fit_argv = ["fit", "--curves", str(sim / "curves_rep000.csv"), "--scalars", str(scalars)]
+    fit_argv += ["--out-dir", str(tmp_path / "f")]
+    summarize_argv = _summarize_argv(root, sim, fit_dir, tmp_path / "s")
+    summarize_argv[summarize_argv.index("--scalars") + 1] = str(scalars)
+    for argv in (fit_argv, summarize_argv):
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(scalars) in err and "covariate column x appears more than once" in err
 
 
 def test_fit_and_summarize_reject_a_blank_covariate(pipeline_dirs, tmp_path, capsys):

@@ -15,9 +15,9 @@ from sofreg.dhs import (
     LOG_CHI2_PROB,
     LOG_CHI2_VAR,
     LOG_SQUARE_JITTER,
+    PHI_PRIOR,
     _PG_TAIL_MASS,
     _PG_TRUNC,
-    DhsConfig,
     DhsState,
     _level_log_density,
     _log_vol_level_joint,
@@ -25,7 +25,6 @@ from sofreg.dhs import (
     _site_log_densities,
     dhs_step,
     init_dhs_state,
-    polya_gamma_mean,
     sample_ar_level_collapsed,
     sample_ar_persistence,
     sample_boundary_scale,
@@ -39,6 +38,13 @@ from sofreg.dhs import (
 from geweke import prior_step, sample_z_dist
 
 
+def polya_gamma_mean(tilt: float) -> float:
+    """E[PG(1, tilt)], in closed form."""
+    if tilt == 0.0:
+        return 0.25
+    return math.tanh(tilt / 2.0) / (2.0 * tilt)
+
+
 def pg_gamma_sum_oracle(tilt: float, rng: np.random.Generator, n: int, terms: int = 2000):
     """Independent construction of PG(1, tilt) as an infinite gamma sum."""
     k = np.arange(1, terms + 1)
@@ -47,23 +53,17 @@ def pg_gamma_sum_oracle(tilt: float, rng: np.random.Generator, n: int, terms: in
     return (g / denom).sum(axis=1) / (2 * math.pi**2)
 
 
-def _z_log_density(x: float, a: float, b: float) -> float:
-    return a * x - (a + b) * (max(x, 0.0) + math.log1p(math.exp(-abs(x))))
+def _z_log_density(x: float) -> float:
+    # Z(1/2, 1/2), up to its constant
+    return 0.5 * x - (max(x, 0.0) + math.log1p(math.exp(-abs(x))))
 
 
 def site_log_density(
-    hk: float,
-    k: int,
-    h: np.ndarray,
-    ystar_k: float,
-    mu: float,
-    phi: float,
-    a: float,
-    b: float,
+    hk: float, k: int, h: np.ndarray, ystar_k: float, mu: float, phi: float
 ) -> float:
     """Collapsed log density of one volatility given its neighbours, one site at a time.
 
-    The exact log chi-squared observation density plus the Z(a, b) laws of
+    The exact log chi-squared observation density plus the Z(1/2, 1/2) laws of
     the site's own innovation and, when there is a next site, of the next
     site's innovation: the scalar reference for the sampler's array version.
     """
@@ -72,9 +72,9 @@ def site_log_density(
         return -math.inf
     val = 0.5 * (eps - math.exp(eps))
     prev = h[k - 1] - mu if k > 0 else 0.0
-    val += _z_log_density((hk - mu) - phi * prev, a, b)
+    val += _z_log_density((hk - mu) - phi * prev)
     if k + 1 < h.size:
-        val += _z_log_density((h[k + 1] - mu) - phi * (hk - mu), a, b)
+        val += _z_log_density((h[k + 1] - mu) - phi * (hk - mu))
     return val
 
 
@@ -132,14 +132,6 @@ def test_pg_truncated_inverse_gaussian_proposal_matches_scipy(z):
 def test_pg_tail_mass_literal_is_the_normal_tail():
     # a literal, so that importing the sampler does not import scipy.special
     assert _PG_TAIL_MASS == float(ndtr(-1.0 / math.sqrt(_PG_TRUNC)))
-
-
-def test_config_requires_innovation_parameters_summing_to_one():
-    with pytest.raises(ValueError, match=r"a \+ b = 1"):
-        DhsConfig(a=0.3, b=0.5)
-    with pytest.raises(ValueError, match=r"a > 0"):
-        DhsConfig(a=0.0, b=1.0)
-    DhsConfig(a=0.3, b=0.7)  # asymmetric innovations stay allowed
 
 
 # --- Z distribution and the half-Cauchy identity ----------------------------
@@ -210,7 +202,7 @@ def _random_state(m, seed, phi=0.6, mu_h=-1.0):
     )
 
 
-def _dense_log_vol_terms(d2, state, config):
+def _dense_log_vol_terms(d2, state):
     """Brute-force precision and linear term via explicit matrices."""
     m = state.size
     ystar = np.log(d2**2 + LOG_SQUARE_JITTER)
@@ -220,8 +212,7 @@ def _dense_log_vol_terms(d2, state, config):
     for k in range(1, m):
         T[k, k - 1] = -state.phi
     Xi = np.diag(state.xi)
-    kappa = (config.a - config.b) / 2.0
-    u = kappa / state.xi + state.mu_h * (T @ np.ones(m))
+    u = state.mu_h * (T @ np.ones(m))
     Q = np.diag(1.0 / obs_var) + T.T @ Xi @ T
     lin = (ystar - obs_mean) / obs_var + T.T @ Xi @ u
     return Q, lin
@@ -231,67 +222,57 @@ def _dense_log_vol_terms(d2, state, config):
 def test_log_vol_conditional_matches_dense_oracle(m, phi):
     # the h | mu_h conditional read off the joint (h, mu_h) terms matches
     # the explicit-matrix construction with the level held fixed
-    config = DhsConfig()
     state, d2 = _random_state(m, seed=21, phi=phi)
-    diag, offdiag, lin_h, coupling, _, _ = _log_vol_level_joint(d2, state, config)
-    Q, lin_dense = _dense_log_vol_terms(d2, state, config)
+    diag, offdiag, lin_h, coupling, _ = _log_vol_level_joint(d2, state)
+    Q, lin_dense = _dense_log_vol_terms(d2, state)
     band = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     assert np.max(np.abs(band - Q)) < 1e-12
     assert np.max(np.abs(lin_h - coupling * state.mu_h - lin_dense)) < 1e-12
 
 
-def _dense_joint_level_terms(d2, state, config):
+def _dense_joint_level_terms(d2, state):
     """(m+1)-dimensional precision and linear term for (h, mu_h) via matrices."""
     m = state.size
-    Q_hh, lin_dense = _dense_log_vol_terms(d2, state, config)
-    # strip the level contribution baked into lin_dense by _dense_log_vol_terms
+    Q_hh, _ = _dense_log_vol_terms(d2, state)
     T = np.eye(m)
     for k in range(1, m):
         T[k, k - 1] = -state.phi
     Xi = np.diag(state.xi)
     ones_col = T @ np.ones(m)
-    kappa = (config.a - config.b) / 2.0
-    c = kappa / state.xi
     ystar = np.log(d2**2 + LOG_SQUARE_JITTER)
     obs_var = LOG_CHI2_VAR[state.indicators]
     obs_mean = LOG_CHI2_MEAN[state.indicators]
-    lin_h = (ystar - obs_mean) / obs_var + T.T @ Xi @ c
     q = np.zeros((m + 1, m + 1))
     q[:m, :m] = Q_hh
     q[:m, m] = -(T.T @ Xi @ ones_col)
     q[m, :m] = q[:m, m]
     q[m, m] = state.xi_mu + ones_col @ Xi @ ones_col
-    lin = np.r_[lin_h, -(ones_col @ Xi @ c)]
+    lin = np.r_[(ystar - obs_mean) / obs_var, 0.0]  # mean-zero innovations: no level term
     return q, lin
 
 
 @pytest.mark.parametrize("m,phi", [(8, 0.6), (15, -0.3), (20, 0.97)])
 def test_joint_level_path_terms_match_dense_oracle(m, phi):
-    config = DhsConfig()
     state, d2 = _random_state(m, seed=31, phi=phi)
-    diag, offdiag, lin_h, coupling, level_prec, level_lin = _log_vol_level_joint(
-        d2, state, config
-    )
-    q, lin = _dense_joint_level_terms(d2, state, config)
+    diag, offdiag, lin_h, coupling, level_prec = _log_vol_level_joint(d2, state)
+    q, lin = _dense_joint_level_terms(d2, state)
     band = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     assert np.max(np.abs(band - q[:m, :m])) < 1e-12
     assert np.max(np.abs(coupling - q[:m, m])) < 1e-12
     assert abs(level_prec - q[m, m]) < 1e-12
     assert np.max(np.abs(lin_h - lin[:m])) < 1e-12
-    assert abs(level_lin - lin[m]) < 1e-12
 
 
 def test_joint_level_path_draw_moments():
     # repeated draws match the dense (m+1)-dimensional Gaussian
-    config = DhsConfig()
     state, d2 = _random_state(6, seed=32)
-    q, lin = _dense_joint_level_terms(d2, state, config)
+    q, lin = _dense_joint_level_terms(d2, state)
     cov = np.linalg.inv(q)
     mean = cov @ lin
     rng = np.random.default_rng(33)
     draws = np.empty((30_000, 7))
     for i in range(draws.shape[0]):
-        h, mu = sample_log_vols_and_level(d2, state, config, rng)
+        h, mu = sample_log_vols_and_level(d2, state, rng)
         draws[i, :6] = h
         draws[i, 6] = mu
     se = np.sqrt(np.diag(cov) / draws.shape[0])
@@ -303,17 +284,16 @@ def test_joint_level_path_draw_moments():
 def test_level_slice_targets_exact_collapsed_conditional():
     rng = np.random.default_rng(34)
     h = np.array([0.3, -1.2, 0.8, 2.0, -0.5, 1.1])
-    config = DhsConfig()
     state = DhsState(h=h, mu_h=0.4, phi=0.7,
                      indicators=np.zeros(6, dtype=int), xi=np.ones(6), xi_mu=1.0)
     grid = np.linspace(-30, 30, 120_001)
-    logd = np.array([_level_log_density(g, h, 0.7, 0.5, 0.5) for g in grid])
+    logd = np.array([_level_log_density(g, h, 0.7) for g in grid])
     dens = np.exp(logd - logd.max())
     cdf = np.cumsum(dens)
     cdf /= cdf[-1]
     draws = np.empty(4000)
     for i in range(draws.size):
-        state.mu_h = sample_ar_level_collapsed(state, config, rng)
+        state.mu_h = sample_ar_level_collapsed(state, rng)
         draws[i] = state.mu_h
     assert stats.kstest(draws[::5], lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3
 
@@ -322,14 +302,13 @@ def test_level_slice_escapes_unidentified_tail_state():
     # with phi ~ 1 the path carries almost no level information, so the
     # collapsed draw should renew from near the prior immediately; the
     # augmented draw would crawl away from a tail start instead
-    config = DhsConfig()
     rng = np.random.default_rng(35)
     state = DhsState(h=np.array([0.3, -1.2, 0.8, 2.0, -0.5, 1.1]), mu_h=8.0,
                      phi=0.999, indicators=np.zeros(6, dtype=int),
                      xi=np.ones(6), xi_mu=1.0)
     seq = np.empty(2000)
     for i in range(seq.size):
-        state.mu_h = sample_ar_level_collapsed(state, config, rng)
+        state.mu_h = sample_ar_level_collapsed(state, rng)
         seq[i] = state.mu_h
     x = seq - seq.mean()
     lag1 = (x[:-1] @ x[1:]) / (x @ x)
@@ -348,8 +327,8 @@ def test_site_log_densities_match_scalar_oracle(m):
     for sites in (np.arange(0, m, 2), np.arange(1, m, 2)):
         x = rng.normal(size=sites.size) * 4.0
         x[:1] = ystar[sites[:1]] - 700.0
-        got = _site_log_densities(sites, h, ystar, mu, phi, 0.3, 0.7)(x)
-        want = np.array([site_log_density(xi, k, h, ystar[k], mu, phi, 0.3, 0.7)
+        got = _site_log_densities(sites, h, ystar, mu, phi)(x)
+        want = np.array([site_log_density(xi, k, h, ystar[k], mu, phi)
                          for xi, k in zip(x, sites)])
         assert np.all(got[:1] == -np.inf) and np.all(want[:1] == -np.inf)
         assert np.allclose(got[1:], want[1:], rtol=1e-12, atol=1e-12)
@@ -358,14 +337,13 @@ def test_site_log_densities_match_scalar_oracle(m):
 def test_sitewise_slice_invariant_law_matches_exact_density():
     # one site, so no neighbour ordering: the chain's stationary law is the
     # collapsed conditional itself, available on a grid
-    config = DhsConfig()
     rng = np.random.default_rng(36)
     d2 = np.array([0.7])
     ystar = math.log(d2[0] ** 2 + LOG_SQUARE_JITTER)
     mu, phi = 0.3, 0.6
     grid = np.linspace(-30, 30, 120_001)
     logd = np.array(
-        [site_log_density(g, 0, np.zeros(1), ystar, mu, phi, 0.5, 0.5) for g in grid]
+        [site_log_density(g, 0, np.zeros(1), ystar, mu, phi) for g in grid]
     )
     dens = np.exp(logd - logd.max())
     cdf = np.cumsum(dens)
@@ -374,7 +352,7 @@ def test_sitewise_slice_invariant_law_matches_exact_density():
                      indicators=np.zeros(1, dtype=int), xi=np.ones(1), xi_mu=1.0)
     draws = np.empty(30_000)
     for i in range(draws.size):
-        sample_log_vols_sitewise(d2, state, config, rng)
+        sample_log_vols_sitewise(d2, state, rng)
         draws[i] = state.h[0]
     assert stats.kstest(draws[1000::5], lambda x: np.interp(x, grid, cdf)).pvalue > 1e-3
 
@@ -391,8 +369,7 @@ def _dense_joint_site_law(d2, mu, phi, grid):
     logp = np.zeros((g,) * m)
     for k in range(m):
         if k == 0:
-            term = np.array([site_log_density(x, 0, np.array([x]), ystar[0], mu, phi, 0.5, 0.5)
-                             for x in grid])
+            term = np.array([site_log_density(x, 0, np.array([x]), ystar[0], mu, phi) for x in grid])
             shape = (g,) + (1,) * (m - 1)
         else:
             cut = np.zeros(k + 1)
@@ -401,7 +378,7 @@ def _dense_joint_site_law(d2, mu, phi, grid):
                 cut[k - 1] = xp
                 for j, x in enumerate(grid):
                     cut[k] = x
-                    term[i, j] = site_log_density(x, k, cut, ystar[k], mu, phi, 0.5, 0.5)
+                    term[i, j] = site_log_density(x, k, cut, ystar[k], mu, phi)
             shape = (1,) * (k - 1) + (g, g) + (1,) * (m - k - 1)
         logp = logp + term.reshape(shape)
     p = np.exp(logp - logp.max())
@@ -422,7 +399,6 @@ def test_parity_blocked_slice_matches_dense_joint_grid(d2):
     # and at m = 3 an odd site between two even ones.  The marginals and the
     # neighbour differences of the chain must match the dense joint law; the
     # differences see the dependence between the two parity classes.
-    config = DhsConfig()
     mu, phi = 0.3, 0.8
     m = d2.size
     grid = np.linspace(-24.0, 16.0, 161)
@@ -432,7 +408,7 @@ def test_parity_blocked_slice_matches_dense_joint_grid(d2):
     rng = np.random.default_rng(100)
     draws = np.empty((12_000, m))
     for i in range(draws.shape[0]):
-        sample_log_vols_sitewise(d2, state, config, rng)
+        sample_log_vols_sitewise(d2, state, rng)
         draws[i] = state.h
     draws = draws[500::3]
     for k in range(m):
@@ -449,9 +425,9 @@ def test_parity_blocked_slice_matches_dense_joint_grid(d2):
         assert p > 1e-3, f"sites {k}, {k + 1}: KS p={p:.3g}"
 
 
-def _draw_path_given_level(d2, state, config, rng):
+def _draw_path_given_level(d2, state, rng):
     """h | mu_h from the joint (h, mu_h) conditional terms, by a dense solve."""
-    diag, offdiag, lin_h, coupling, _, _ = _log_vol_level_joint(d2, state, config)
+    diag, offdiag, lin_h, coupling, _ = _log_vol_level_joint(d2, state)
     q = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
     mean = np.linalg.solve(q, lin_h - coupling * state.mu_h)
     chol = np.linalg.cholesky(q)
@@ -461,7 +437,6 @@ def _draw_path_given_level(d2, state, config, rng):
 def test_sitewise_and_augmented_chains_share_invariant_law():
     # two independent mechanisms for p(h | d2, mu, phi): collapsed slices
     # versus mixture indicators plus Polya-Gamma with a blocked draw
-    config = DhsConfig()
     rng = np.random.default_rng(37)
     d2 = np.array([0.3, -1.1, 0.05, 2.2, -0.4])
     mu, phi = 0.3, 0.6
@@ -473,10 +448,10 @@ def test_sitewise_and_augmented_chains_share_invariant_law():
         out = np.empty(n)
         for i in range(n):
             if kind == "site":
-                sample_log_vols_sitewise(d2, st, config, rng)
+                sample_log_vols_sitewise(d2, st, rng)
             else:
                 st.indicators = sample_mixture_indicators(d2, st.h, rng)
-                st.h = _draw_path_given_level(d2, st, config, rng)
+                st.h = _draw_path_given_level(d2, st, rng)
                 update_innovation_auxiliaries(st, rng)
             out[i] = st.h[2]
         return out
@@ -487,7 +462,6 @@ def test_sitewise_and_augmented_chains_share_invariant_law():
 
 
 def test_ar_persistence_slice_targets_exact_conditional():
-    config = DhsConfig()
     rng = np.random.default_rng(25)
     m = 40
     state = DhsState(
@@ -503,8 +477,8 @@ def test_ar_persistence_slice_targets_exact_conditional():
     logdens = np.array(
         [
             -0.5 * np.sum(state.xi[1:] * (centered[1:] - p * centered[:-1]) ** 2)
-            + (config.phi_a - 1) * np.log((1 + p) / 2)
-            + (config.phi_b - 1) * np.log((1 - p) / 2)
+            + (PHI_PRIOR[0] - 1) * np.log((1 + p) / 2)
+            + (PHI_PRIOR[1] - 1) * np.log((1 - p) / 2)
             for p in grid
         ]
     )
@@ -514,7 +488,7 @@ def test_ar_persistence_slice_targets_exact_conditional():
 
     draws = []
     for _ in range(3000):
-        state.phi = sample_ar_persistence(state, config, rng)
+        state.phi = sample_ar_persistence(state, rng)
         draws.append(state.phi)
     draws = np.array(draws[200:])
     result = stats.kstest(draws, lambda q: np.interp(q, grid, cdf_grid))
@@ -524,7 +498,7 @@ def test_ar_persistence_slice_targets_exact_conditional():
 def test_boundary_scale_conjugate_distribution():
     rng = np.random.default_rng(26)
     b1, bk = 0.8, -1.4
-    draws = np.array([sample_boundary_scale(b1, bk, rng) for _ in range(30_000)])
+    draws = np.array([sample_boundary_scale(b1, bk, rng, 0.01, 0.01) for _ in range(30_000)])
     shape = 0.01 + 1.0
     rate = 0.01 + 0.5 * (b1**2 + bk**2)
     assert stats.kstest(draws**-2.0, stats.gamma(shape, scale=1.0 / rate).cdf).pvalue > 0.01
@@ -542,12 +516,11 @@ def test_init_state_levels_and_clamping():
 
 
 def test_dhs_step_stays_finite_and_in_support():
-    config = DhsConfig()
     rng = np.random.default_rng(27)
     d2 = rng.normal(size=30) * np.r_[np.full(15, 0.01), np.full(15, 2.0)]
     state = init_dhs_state(d2)
     for _ in range(300):
-        dhs_step(d2, state, config, rng)
+        dhs_step(d2, state, 5, rng)
         assert np.all(np.isfinite(state.h))
         assert -1.0 < state.phi < 1.0
         assert np.all(state.xi > 0)
@@ -556,14 +529,13 @@ def test_dhs_step_stays_finite_and_in_support():
 
 
 def test_prior_step_with_zero_persistence_gives_half_cauchy_scales():
-    config = DhsConfig()
     rng = np.random.default_rng(28)
     state = init_dhs_state(np.ones(50))
     state.mu_h = 0.0
     state.phi = 0.0
     lams = []
     for _ in range(400):
-        prior_step(state, config, rng)
+        prior_step(state, rng)
         lams.append(np.exp(state.h / 2.0))
     lams = np.concatenate(lams)
     assert stats.kstest(lams, stats.halfcauchy.cdf).pvalue > 0.01

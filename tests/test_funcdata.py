@@ -197,6 +197,15 @@ def test_scalar_file_round_trip(tmp_path):
     assert rsc["group"].tolist() == ["m", "f", "f"]
 
 
+def test_read_scalars_rejects_a_repeated_column_naming_file_and_column(tmp_path):
+    # read into a dict by name, the first x would be dropped without a word
+    path = tmp_path / "scalars.csv"
+    path.write_text("subject_id,response,x,x\na,1.0,1.0,5.0\nb,2.0,2.0,6.0\n")
+    with pytest.raises(ValueError, match="covariate column x appears more than once") as err:
+        read_scalars(path)
+    assert str(path) in str(err.value)
+
+
 def test_read_scalars_rejects_a_blank_covariate_naming_file_line_column_and_subject(tmp_path):
     # read as text, a numeric column with one blank field would be
     # dummy-coded: 49 columns for 50 subjects

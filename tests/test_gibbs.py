@@ -11,8 +11,8 @@ import pytest
 import yaml
 from scipy import signal, stats
 
+from sofreg import dhs
 from sofreg.basis import BSplineBasis, Domain, second_difference_matrix
-from sofreg.dhs import DhsConfig
 from sofreg.funcdata import CurveSet, RegressionDesign, fit_curves
 from sofreg.gibbs import (
     ArchivedCurves,
@@ -291,7 +291,7 @@ def horseshoe_gibbs_oracle(y, x, dop, n_iter, rng, hyper=0.01):
 
 
 @pytest.mark.slow
-def test_zero_persistence_posterior_matches_horseshoe_oracle():
+def test_zero_persistence_posterior_matches_horseshoe_oracle(monkeypatch):
     rng = np.random.default_rng(55)
     n, k = 40, 8
     basis = BSplineBasis(Domain(0.0, 1.0), k, 3)
@@ -307,9 +307,8 @@ def test_zero_persistence_posterior_matches_horseshoe_oracle():
         penalized=np.zeros(0, dtype=bool),
     )
     # pin the AR persistence at (essentially) zero: scales become independent
-    config = FitConfig(
-        prior="dhs", burnin=2000, draws=12_000, dhs=DhsConfig(phi_a=2e6, phi_b=2e6)
-    )
+    monkeypatch.setattr(dhs, "PHI_PRIOR", (2e6, 2e6))
+    config = FitConfig(prior="dhs", burnin=2000, draws=12_000)
     ours = fit(design, config, rng=np.random.default_rng(56))
     assert np.max(np.abs(ours.phi)) < 0.01
 
@@ -523,6 +522,19 @@ def test_archive_requires_the_common_arrays_only(tmp_path):
     assert str(tmp_path / "arch") in str(err.value)
 
 
+def test_archive_with_nested_dhs_settings_loads(tmp_path):
+    # archives written before refresh joined FitConfig nest it, with the
+    # process's fixed hyperparameters, under ``dhs``
+    draws = fit(toy_design(seed=5), quick_config("pspline", refresh=2), seed=3)
+    save_draws(draws, tmp_path / "arch")
+    manifest_path = tmp_path / "arch" / "manifest.yaml"
+    manifest = yaml.safe_load(manifest_path.read_text())
+    nested = {"a": 0.5, "b": 0.5, "phi_a": 10.0, "phi_b": 2.0, "refresh": manifest["config"].pop("refresh")}
+    manifest["config"]["dhs"] = nested
+    manifest_path.write_text(yaml.safe_dump(manifest))
+    assert load_draws(tmp_path / "arch").config == draws.config
+
+
 def test_archive_rejects_foreign_directory(tmp_path):
     (tmp_path / "manifest.yaml").write_text("format: something-else\n")
     with pytest.raises(ValueError, match="archive"):
@@ -545,3 +557,6 @@ def test_fit_config_validation():
         FitConfig(prior="ridge")
     with pytest.raises(ValueError, match="draws"):
         FitConfig(draws=0)
+    for refresh in (0, -2):  # no latent move would run: phi and h would freeze
+        with pytest.raises(ValueError, match="refresh >= 1"):
+            FitConfig(refresh=refresh)
