@@ -165,12 +165,22 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
                 raise ConfigError(f"config key {dotted} must be true/false")
             out[key] = value
         elif isinstance(base, int) and value is not None:
-            out[key] = int(value)
+            out[key] = _whole_number(value, dotted)
         elif isinstance(base, float) and value is not None:
+            if isinstance(value, bool):
+                raise ConfigError(f"config key {dotted} must be a number, not {value!r}")
             out[key] = float(value)
         else:
             out[key] = value
     return out
+
+
+def _whole_number(value, dotted: str) -> int:
+    """An int, or a float with no fractional part; anything else is an error naming the key."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"config key {dotted} must be a whole number, not {value!r}")
+    return int(value)
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
@@ -384,6 +394,12 @@ def cmd_summarize(resolved: dict) -> int:
     curves_path = _require_file(resolved, "curves")
     if resolved.get("scalars") is None:
         raise ConfigError("summarize needs the scalar file used for the fit")
+    cells = resolved["partition_cells"]
+    if cells is not None:
+        cells = _whole_number(cells, "partition_cells")
+    pred_draws = resolved["pred_draws"]
+    if pred_draws is not None and pred_draws < 1:
+        raise ConfigError(f"config key pred_draws must be at least 1, not {pred_draws}")
     seconds: dict[str, float] = {}
     with _stage(seconds, "load"):
         draws = load_draws(archive)
@@ -420,11 +436,10 @@ def cmd_summarize(resolved: dict) -> int:
         cfg_hash,
     )
 
-    cells = resolved["partition_cells"]
     if cells is None:
         partition = Partition.from_grid(fitted.grid)
     else:
-        partition = Partition.regular(draws.basis.domain, int(cells))
+        partition = Partition.regular(draws.basis.domain, cells)
     with _stage(seconds, "analyze"):
         summary = analyze(
             draws,
@@ -435,7 +450,7 @@ def cmd_summarize(resolved: dict) -> int:
             np.random.default_rng(resolved["seed"]),
             epsilon=resolved["epsilon"],
             zero_tol=resolved["zero_tol"],
-            pred_draws=resolved["pred_draws"],
+            pred_draws=pred_draws,
         )
     diag, family = summary.diagnostics, summary.family
     kkt = np.array(
@@ -449,8 +464,6 @@ def cmd_summarize(resolved: dict) -> int:
         "config_hash": cfg_hash,
         "cells": partition.size,
         "rank_aggregated": rank,
-        "rank_span": diag.span_rank,
-        "complement_dof": design.n - diag.span_rank,
         "knots": summary.path.lambdas.size,
         "entries": diag.lambdas.size,
         "max_kkt_residual": float(kkt.max()),

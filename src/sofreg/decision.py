@@ -152,6 +152,10 @@ def fused_lasso_path(targets: np.ndarray, a: np.ndarray) -> SolutionPath:
     the solution is affine in the penalty.  When the active columns become
     linearly dependent the homotopy stops at that rank boundary and the
     path is flagged, since the solution below it is not identified.
+
+    The homotopy reads A and r only through ``A'A`` and ``A'r``, so it
+    runs on the (cells + 1)-row triangle R of ``[A | r] = Q R``, which
+    keeps both; the penalty keeps its scaling by the caller's n.
     """
     r = np.asarray(targets, dtype=float)
     n, size = a.shape
@@ -162,9 +166,10 @@ def fused_lasso_path(targets: np.ndarray, a: np.ndarray) -> SolutionPath:
     if not np.all(np.isfinite(r)):
         raise ValueError("targets must be finite")
 
-    cols = _lasso_columns(a)
+    tri = np.linalg.qr(np.column_stack([a, r]), mode="r")
+    cols, z = _lasso_columns(tri[:, :-1]), tri[:, -1]
     gram_full = cols.T @ cols
-    rhs_full = cols.T @ r
+    rhs_full = cols.T @ z
 
     active = np.zeros(size, dtype=bool)
     active[0] = True  # the level column is never penalized
@@ -196,7 +201,7 @@ def fused_lasso_path(targets: np.ndarray, a: np.ndarray) -> SolutionPath:
     hit_signs = np.array([[1.0], [-1.0]])  # one row of hit roots per sign
     for _ in range(40 * size + 100):
         cols_a = cols[:, active]
-        p = cols.T @ (r - cols_a @ a_vec)
+        p = cols.T @ (z - cols_a @ a_vec)
         q = cols.T @ (cols_a @ b_vec)
         sp, sq = hit_signs * p, hit_signs * q
         upper = lam * (1.0 + 1e-12)
@@ -313,15 +318,6 @@ class PathDiagnostics:
     empirical: np.ndarray  # E_lam on the observed response
     percent_increase: np.ndarray  # (grid, draws) predictive percent loss vs the optimum
     idx_lambda_min: int
-    span_rank: int  # rank of [A | X], the span the replicates are priced in
-
-
-def _span_basis(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis Q of the span of ``[a | x]`` (thin SVD, ``matrix_rank``'s
-    tolerance) and the coordinates ``Q' [a | x]``."""
-    u, s, vt = np.linalg.svd(np.column_stack([a, x]), full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(u.shape[0], vt.shape[1]) * np.finfo(float).eps))
-    return u[:, :rank], s[:rank, None] * vt[:rank]
 
 
 def _percent_increase(gaps, centers, sd, noise, rest, n: int) -> np.ndarray:
@@ -355,38 +351,39 @@ def evaluate_path(
     smallest is the optimum b.  One common set of predictive replicates
     prices every entry, so percent differences compare draw by draw.
 
-    Replicate s less its own scalar fit leaves the residual
-    ``r0_s = X theta_s - A delta_b + sigma_s eps_s`` at the optimum (X the
-    curve scores).  With Q an orthonormal basis of the span of ``[A | X]``
-    and ``g_i = Q'A (delta_i - delta_b)``, entry i's loss exceeds the
-    optimum's by ``(||g_i||^2 - 2 g_i . Q'r0_s) / n``, and the optimum's
-    loss is ``(||Q'r0_s||^2 + c_s) / n``.  Here ``Q'r0_s = Q'X theta_s -
-    Q'A delta_b + sigma_s u_s`` with ``u_s ~ N(0, I_rank)``, and the part
-    off the span is independent noise with ``c_s ~ sigma_s^2
-    chi^2_{n - rank}``.  So the replicates are equal in law to the ones
-    drawn in n dimensions, not bitwise equal.  Q costs one thin SVD,
-    O(n (cells + K)^2); no per-draw work grows with n.  The optimum's row
-    is exactly zero, because its gap is.
+    One R-only QR gives ``[A | X | adj] = Q F`` (X the curve scores, Q's
+    columns orthonormal), so entry i's empirical loss is exactly
+    ``||F[:, -1] - F[:, :cells] delta_i||^2 / n``.  Replicate s less its
+    own scalar fit leaves ``r0_s = X theta_s - A delta_b + sigma_s eps_s``
+    at the optimum.  The first m = min(n, cells + K) columns Q_m of Q hold
+    the span of ``[A | X]``, with coordinates ``F[:m, :-1]``.  With
+    ``g_i = F[:m, :cells] (delta_i - delta_b)``, entry i's loss exceeds
+    the optimum's by ``(||g_i||^2 - 2 g_i . Q_m'r0_s) / n``, and the
+    optimum's loss is ``(||Q_m'r0_s||^2 + c_s) / n``.  As Q_m's columns are
+    orthonormal, ``Q_m'eps_s = u_s ~ N(0, I_m)`` and ``c_s ~ sigma_s^2
+    chi^2_{n - m}`` off its range are independent, also when Q_m is wider
+    than the span; so the replicates are equal in law to ones drawn in n
+    dimensions, not bitwise equal.  Nothing after the QR grows with n.
+    The optimum's row is exactly zero, because its gap is.
     """
     keep = subsample_indices(path.lambdas.size, max_entries)
     lams = path.lambdas[keep]
     deltas = path.deltas[keep]
-    n = y.size
+    n, cells = a.shape
 
     adj = y - design.z @ draws.alpha.mean(axis=0)
-    resid = adj[:, None] - a @ deltas.T
+    tri = np.linalg.qr(np.column_stack([a, design.scores, adj]), mode="r")
+    resid = tri[:, -1:] - tri[:, :cells] @ deltas.T
     emp = np.einsum("ij,ij->j", resid, resid) / n
-    del resid  # n x entries: freed before the SVD
     best = int(np.argmin(emp))
 
-    coords = _span_basis(a, design.scores)[1]
-    rank, cells = coords.shape[0], a.shape[1]
+    m = min(n, tri.shape[1] - 1)
+    span_a, span_x = tri[:m, :cells], tri[:m, cells:-1]
     idx = subsample_indices(draws.n_draws, pred_draws)
-    noise = rng.standard_normal((idx.size, rank))
-    rest = rng.chisquare(n - rank, idx.size) if n > rank else np.zeros(idx.size)
-    span_a = coords[:, :cells]
+    noise = rng.standard_normal((idx.size, m))
+    rest = rng.chisquare(n - m, idx.size) if n > m else np.zeros(idx.size)
     gaps = (deltas - deltas[best]) @ span_a.T
-    centers = draws.coeffs[idx] @ coords[:, cells:].T - span_a @ deltas[best]
+    centers = draws.coeffs[idx] @ span_x.T - span_a @ deltas[best]
     percent = _percent_increase(gaps, centers, np.sqrt(draws.sigma2[idx]), noise, rest, n)
     return PathDiagnostics(
         lambdas=lams,
@@ -395,7 +392,6 @@ def evaluate_path(
         empirical=emp,
         percent_increase=percent,
         idx_lambda_min=best,
-        span_rank=rank,
     )
 
 

@@ -391,6 +391,8 @@ def effective_sample_size(draws: np.ndarray) -> np.ndarray:
 
 def subsample_indices(n_draws: int, size: int | None) -> np.ndarray:
     """Deterministic, evenly spaced draw indices for predictive work."""
+    if size is not None and size < 1:
+        raise ValueError(f"subsample size must be at least 1, got {size}")
     if size is None or size >= n_draws:
         return np.arange(n_draws)
     return np.unique(np.linspace(0, n_draws - 1, size).round().astype(int))

@@ -638,7 +638,6 @@ def test_criterion_08_acceptable_family_mechanics():
             empirical=rng.uniform(size=n_grid),
             percent_increase=pct,
             idx_lambda_min=idx_min,
-            span_rank=3,
         )
         epsilon = float(rng.uniform(0.0, 0.6))
         fam = acceptable_family(diag, epsilon)

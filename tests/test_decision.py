@@ -234,6 +234,21 @@ def test_path_knots_satisfy_kkt_on_random_designs():
         _assert_path_stationary(fused_lasso_path(r, agg), r, agg)
 
 
+def test_path_is_invariant_to_rotating_the_rows():
+    # the path reads A and r only through A'A and A'r, which an orthogonal H
+    # leaves unchanged: this is what lets it run on the triangle of [A | r]
+    rng = np.random.default_rng(12)
+    for trial in range(20):
+        k = int(rng.integers(2, 51))
+        n = int(rng.integers(max(k + 5, 25), 80))
+        r, agg = random_problem(rng, n, k)
+        h = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        path, turned = fused_lasso_path(r, agg), fused_lasso_path(h @ r, h @ agg)
+        assert turned.lambdas.shape == path.lambdas.shape, trial
+        assert np.max(np.abs(turned.lambdas - path.lambdas)) <= 1e-9 * path.lambdas[0]
+        assert np.max(np.abs(turned.deltas - path.deltas)) <= 1e-9 * np.max(np.abs(path.deltas))
+
+
 def test_path_endpoint_matches_least_squares():
     rng = np.random.default_rng(3)
     r, agg = random_problem(rng, 40, 9)
@@ -456,19 +471,21 @@ def test_empirical_mse_degenerate_cases():
 def _span_replicates(draws, design, agg, seed, size):
     """Replicates in n dimensions carrying ``evaluate_path``'s own noise.
 
-    ``evaluate_path`` draws from its generator the standard normal span
-    coordinates ``u`` (draws x rank) and then the chi-square squared norms
-    off the span.  Here each replicate's noise is built from them in n
-    dimensions: ``Q u_s`` plus a unit vector orthogonal to the span,
+    ``evaluate_path`` draws from its generator the standard normal
+    coordinates ``u`` (draws x m) in the first m = min(n, cells + K)
+    columns of the Q factor of ``[A | X | adj]``, and then the chi-square
+    squared norms off their range.  Those columns are the Q factor of
+    ``[A | X]``.  Here each replicate's noise is built from them in n
+    dimensions: ``Q u_s`` plus a unit vector orthogonal to Q's range,
     scaled by the root of its squared norm.
     """
-    q = decision._span_basis(agg, design.scores)[0]
-    n, rank = q.shape
+    q = np.linalg.qr(np.column_stack([agg, design.scores]))[0]
+    n, m = q.shape
     idx = subsample_indices(draws.n_draws, size)
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((idx.size, rank)) @ q.T
-    if n > rank:
-        rest = rng.chisquare(n - rank, idx.size)
+    noise = rng.standard_normal((idx.size, m)) @ q.T
+    if n > m:
+        rest = rng.chisquare(n - m, idx.size)
         off = np.random.default_rng([seed, 1]).standard_normal((idx.size, n))
         off -= (off @ q) @ q.T
         noise += np.sqrt(rest / np.einsum("ij,ij->i", off, off))[:, None] * off
@@ -485,7 +502,6 @@ def test_predictive_mse_matches_loop_oracle_per_draw():
         )
         y = rng.standard_normal(n)
         diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(5), pred_draws=s)
-        assert diag.span_rank == min(n, k + 4)
         y_pred = _span_replicates(draws, design, agg, 5, s)
         a, z = agg, design.z
         loss = np.array(
@@ -550,7 +566,7 @@ def test_span_replicates_match_direct_replicates_in_law():
     draws.n_draws = 2 * reps
     y = rng.standard_normal(n)
     diag = evaluate_path(path, y, draws, design, agg, np.random.default_rng(1), pred_draws=None)
-    assert diag.span_rank == k + 4 < n  # a complement of n - rank = 6 degrees of freedom
+    assert k + 4 < n  # a complement of n - (cells + K) = 6 degrees of freedom
     y_pred = predictive_draws(draws, design, np.random.default_rng(2), size=None)
     emp, percent, best = _direct_pricing(diag, y, y_pred, draws, design, agg, np.arange(2 * reps))
     assert diag.idx_lambda_min == best
@@ -610,7 +626,6 @@ def _fake_diag(percent, levels, lambdas=None):
         empirical=emp,
         percent_increase=percent,
         idx_lambda_min=int(np.flatnonzero(np.all(percent == 0.0, axis=1))[0]),
-        span_rank=3,
     )
 
 
@@ -914,7 +929,6 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
     emp, percent, best = _direct_pricing(diag, y, y_pred, draws, design, agg, idx)
 
     assert path.rank_deficient
-    assert diag.span_rank == np.linalg.matrix_rank(np.column_stack([agg, design.scores]))
     # the optimum sits above the rank boundary, where the path can store
     # knots whose fits agree to rounding; against those, membership is a
     # coin toss in either arithmetic, so this case must have none
@@ -933,7 +947,6 @@ def test_evaluate_path_matches_direct_reference_on_rank_deficient_design():
             empirical=emp,
             percent_increase=percent,
             idx_lambda_min=best,
-            span_rank=diag.span_rank,
         )
     )
     assert np.array_equal(fam.members, ref_fam.members)

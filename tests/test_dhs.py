@@ -434,6 +434,7 @@ def _draw_path_given_level(d2, state, rng):
     return mean + np.linalg.solve(chol.T, rng.standard_normal(diag.size))
 
 
+@pytest.mark.slow
 def test_sitewise_and_augmented_chains_share_invariant_law():
     # two independent mechanisms for p(h | d2, mu, phi): collapsed slices
     # versus mixture indicators plus Polya-Gamma with a blocked draw

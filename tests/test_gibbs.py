@@ -442,6 +442,9 @@ def test_subsample_indices_deterministic_and_bounded():
     assert np.array_equal(idx, subsample_indices(1000, 100))
     assert np.array_equal(subsample_indices(50, None), np.arange(50))
     assert np.array_equal(subsample_indices(50, 100), np.arange(50))
+    for size in (0, -3):
+        with pytest.raises(ValueError, match=f"subsample size must be at least 1, got {size}"):
+            subsample_indices(50, size)
 
 
 def test_archive_round_trip(tmp_path):
