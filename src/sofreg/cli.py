@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import resource
 import sys
 import time
@@ -167,9 +168,7 @@ def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
         elif isinstance(base, int) and value is not None:
             out[key] = _whole_number(value, dotted)
         elif isinstance(base, float) and value is not None:
-            if isinstance(value, bool):
-                raise ConfigError(f"config key {dotted} must be a number, not {value!r}")
-            out[key] = float(value)
+            out[key] = _number(value, dotted)
         else:
             out[key] = value
     return out
@@ -181,6 +180,15 @@ def _whole_number(value, dotted: str) -> int:
     if isinstance(value, bool) or not whole:
         raise ConfigError(f"config key {dotted} must be a whole number, not {value!r}")
     return int(value)
+
+
+def _number(value, dotted: str) -> float:
+    """A float of an int, float or numeric string (PyYAML reads ``1e-3`` as
+    a string); anything else is an error naming the key."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
+    raise ConfigError(f"config key {dotted} must be a number, not {value!r}")
 
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
@@ -201,7 +209,10 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         for key, value in vars(args).items()
         if key not in ("command", "config") and value is not None
     }
-    return _merge(_defaults(command), user) | flags
+    resolved = _merge(_defaults(command), user) | flags
+    if _whole_number(resolved["seed"], "seed") < 0:
+        raise ConfigError(f"config key seed must be a non-negative whole number, not {resolved['seed']}")
+    return resolved
 
 
 def _snapshot(resolved: dict, command: str) -> str:
@@ -383,6 +394,16 @@ def cmd_fit(resolved: dict) -> int:
     return EXIT_OK
 
 
+# summarize's numeric keys: (least, most, whether null is allowed)
+_SUMMARIZE_BOUNDS = {
+    "partition_cells": (2, math.inf, True),  # null: one cell per grid interval
+    "pred_draws": (1, math.inf, True),  # null: every draw
+    "grid_points": (2, math.inf, False),
+    "epsilon": (0, 1, False),
+    "zero_tol": (0, math.inf, False),
+}
+
+
 def cmd_summarize(resolved: dict) -> int:
     """Decision analysis on an archive, from the curve coefficients the fit stored.
 
@@ -397,9 +418,14 @@ def cmd_summarize(resolved: dict) -> int:
     cells = resolved["partition_cells"]
     if cells is not None:
         cells = _whole_number(cells, "partition_cells")
+    for key, (least, most, nullable) in _SUMMARIZE_BOUNDS.items():
+        value = resolved[key]
+        if value is None and nullable:
+            continue
+        if value is None or not least <= value <= most:
+            span = f"at least {least}" if most == math.inf else f"in [{least}, {most}]"
+            raise ConfigError(f"config key {key} must be {span}, not {value}")
     pred_draws = resolved["pred_draws"]
-    if pred_draws is not None and pred_draws < 1:
-        raise ConfigError(f"config key pred_draws must be at least 1, not {pred_draws}")
     seconds: dict[str, float] = {}
     with _stage(seconds, "load"):
         draws = load_draws(archive)
@@ -533,8 +559,10 @@ def _selection_from_windows(grid: np.ndarray, rows: list[list[str]]) -> np.ndarr
 
 def cmd_evaluate(resolved: dict) -> int:
     beta_path = _require_file(resolved, "beta_summary")
-    cfg_hash = _snapshot(resolved, "evaluate")
     header, rows = read_table(beta_path)
+    if not rows:
+        raise ValueError(f"{beta_path}: summary table has a header but no rows")
+    cfg_hash = _snapshot(resolved, "evaluate")
     cols = {name: i for i, name in enumerate(header)}
     data = np.array([[float(v) for v in row] for row in rows])
     grid = data[:, cols["t"]]

@@ -8,10 +8,11 @@ is a spline whose second differences get one of three priors:
 * ``pspline``        one global smoothing scale,
 * ``local-pspline``  independent local scales.
 
-All variants share a conjugate Gaussian block structure, so the sampler
-alternates exact conditional draws; no tuning is required.  A sweep's
-cost does not grow with the number of subjects: it works on cross-products
-formed once, and is cubic only in the (small) number of basis coefficients.
+All variants are conditionally conjugate, so the sampler alternates exact
+conditional draws: every coefficient jointly from one Gaussian, then the
+scales and variances; no tuning is required.  A sweep's cost does not grow
+with the number of subjects: it works on one Gram formed once, and is cubic
+only in the (small) number of coefficients.
 
 Besides ``fit``, this module provides posterior curve summaries and a
 flat-file draw archive.
@@ -160,16 +161,19 @@ class _SplineScales:
 
 
 class _GibbsCore:
-    """Cross-products formed once, plus the state of the model's two blocks.
+    """The stacked Gram, formed once, plus the model's coefficient state.
 
     The response is ``X beta + Z alpha`` plus noise, with X the curve
     scores and Z the scalar design.  The functional coefficient ``beta``
     carries a spline shrinkage prior on its second differences; the scalar
     coefficients ``alpha`` carry independent normal priors (flat on
-    unpenalized columns).  A sweep draws beta given alpha, then alpha given
-    the new beta.  The conditionals and the noise variance's residual sum
-    of squares come from the cross-products, so a sweep touches no n-sized
-    array unless the fit is tight enough for that sum to cancel.
+    unpenalized columns).  Both sit in one Gaussian likelihood, so a sweep
+    draws ``theta = [beta; alpha]`` from its one Gaussian conditional: the
+    intercept is nearly in the span of the curve scores, and drawing beta
+    and alpha in turn would creep along that direction.  The conditional
+    and the noise variance's residual sum of squares come from
+    ``G = [X | Z]'[X | Z]`` and ``w = [X | Z]'y``, so a sweep touches no
+    n-sized array unless the fit is tight enough for that sum to cancel.
     """
 
     def __init__(self, design: RegressionDesign, config: FitConfig):
@@ -177,11 +181,12 @@ class _GibbsCore:
         self.design = design
         self.n = design.n
         self.x, self.z = design.scores, design.z
-        self.xx, self.xz = self.x.T @ self.x, self.x.T @ self.z
-        self.zx, self.zz = self.z.T @ self.x, self.z.T @ self.z
-        self.diff_op = second_difference_matrix(self.x.shape[1])
+        self.k = self.x.shape[1]
+        xz = self.x.T @ self.z
+        self.gram = np.block([[self.x.T @ self.x, xz], [xz.T, self.z.T @ self.z]])
+        self.diff_op = second_difference_matrix(self.k)
 
-        self.beta = np.zeros(self.x.shape[1])
+        self.beta = np.zeros(self.k)
         self.alpha = np.zeros(self.z.shape[1])
         self.scales = _SplineScales()
         self.alpha_scales2 = np.where(design.penalized, 1.0, np.inf)
@@ -193,14 +198,13 @@ class _GibbsCore:
     def set_y(self, y: np.ndarray) -> None:
         self.y = y
         self.yy = float(y @ y)
-        self.xy = self.x.T @ y
-        self.zy = self.z.T @ y
+        self.w = np.concatenate([self.x.T @ y, self.z.T @ y])
 
     def init_from_data(self) -> None:
         """Deterministic warm start: ridge fits and method-of-moments scales."""
-        dop = self.diff_op
-        ridge = self.xx + dop.T @ dop + 1e-10 * np.eye(dop.shape[0])
-        self.beta = np.linalg.solve(ridge, self.xy)
+        dop, k = self.diff_op, self.k
+        ridge = self.gram[:k, :k] + dop.T @ dop + 1e-10 * np.eye(k)
+        self.beta = np.linalg.solve(ridge, self.w[:k])
         d2 = (dop @ self.beta)[1:-1]
         self.scales.lambda0 = 1.0
         if self.config.prior == "dhs":
@@ -213,23 +217,6 @@ class _GibbsCore:
         var_y = float(self.y.var(ddof=1)) if self.n > 1 else 1.0
         self.sigma2 = var_y if var_y > 0 else 1.0
         self.alpha_scales2 = np.where(self.design.penalized, 1.0, np.inf)
-
-    # -- conditional draws --
-
-    def _draw_beta(self, rng: np.random.Generator) -> None:
-        dop = self.diff_op
-        lam = self.scales.variance_vector(self.config.prior, dop.shape[0])
-        prec = self.xx / self.sigma2 + dop.T @ (dop / lam[:, None])
-        lin = (self.xy - self.xz @ self.alpha) / self.sigma2
-        self.beta = sample_gaussian_by_precision(prec, lin, rng)
-
-    def _draw_alpha(self, rng: np.random.Generator) -> None:
-        if self.alpha.size == 0:
-            return
-        inv_scales2 = np.where(np.isinf(self.alpha_scales2), 0.0, 1.0 / self.alpha_scales2)
-        prec = self.zz / self.sigma2 + np.diag(inv_scales2)
-        lin = (self.zy - self.zx @ self.beta) / self.sigma2
-        self.alpha = sample_gaussian_by_precision(prec, lin, rng)
 
     def _update_scales(self, rng: np.random.Generator) -> None:
         cfg = self.config
@@ -248,22 +235,22 @@ class _GibbsCore:
         )
 
     def sweep(self, rng: np.random.Generator) -> None:
-        """One full scan: beta, alpha, shrinkage scales, variances."""
-        cfg = self.config
-        self._draw_beta(rng)
-        self._draw_alpha(rng)
+        """One full scan: [beta; alpha] jointly, shrinkage scales, variances."""
+        cfg, dop, k = self.config, self.diff_op, self.k
+        lam = self.scales.variance_vector(cfg.prior, k)
+        prec = self.gram / self.sigma2
+        prec[:k, :k] += dop.T @ (dop / lam[:, None])
+        prec[k:, k:] += np.diag(1.0 / self.alpha_scales2)  # 0 on flat columns
+        theta = sample_gaussian_by_precision(prec, self.w / self.sigma2, rng)
+        self.beta, self.alpha = theta[:k], theta[k:]
         self._update_scales(rng)
-        beta, alpha = self.beta, self.alpha
         pen = self.design.penalized
         if pen.any():
-            rates = cfg.var_rate + 0.5 * alpha[pen] ** 2
+            rates = cfg.var_rate + 0.5 * self.alpha[pen] ** 2
             self.alpha_scales2[pen] = 1.0 / rng.gamma(cfg.var_shape + 0.5, 1.0 / rates)
-        rss = self.yy - 2.0 * (beta @ self.xy + alpha @ self.zy) + (
-            beta @ (self.xx @ beta) + beta @ (self.xz @ alpha)
-            + alpha @ (self.zx @ beta) + alpha @ (self.zz @ alpha)
-        )
+        rss = self.yy - 2.0 * (theta @ self.w) + theta @ (self.gram @ theta)
         if not (np.isfinite(rss) and rss > 1e-6 * self.yy):  # cancelled to a few digits
-            resid = self.y - (self.x @ beta + self.z @ alpha)
+            resid = self.y - (self.x @ self.beta + self.z @ self.alpha)
             rss = resid @ resid
         rate = cfg.var_rate + 0.5 * float(rss)
         self.sigma2 = 1.0 / rng.gamma(cfg.var_shape + 0.5 * self.n, 1.0 / rate)

@@ -68,7 +68,7 @@ from sofreg.simulate import (
 )
 from geweke import prior_parameter_draws, successive_conditional_draws
 from test_decision import prox_gradient_k3, random_problem
-from test_gibbs import toy_design
+from test_gibbs import dense_coefficient_draw, toy_design
 
 
 def _small_design(n=15, k=8, seed=11) -> RegressionDesign:
@@ -92,10 +92,10 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
     """Replay a full sweep with dense algebra and closed-form updates.
 
     Seeded-draw equality pins both the conditional mean and the
-    conditional precision of every block: a Gaussian draw is mean +
-    chol(prec)^-T z and a variance draw is rate/gamma(shape), so any
-    mismatch in the conditional parameters breaks equality at machine
-    precision.  The replay forms the residual densely, so it also pins
+    conditional precision of every draw: the coefficients [beta; alpha]
+    are one Gaussian draw, mean + chol(prec)^-T z over the stacked
+    [X | Z], and a variance draw is rate/gamma(shape), so any mismatch in
+    the conditional parameters breaks equality at machine precision.  The replay forms the residual densely, so it also pins
     the noise variance's residual sum of squares.
     """
     design = design or _small_design()
@@ -109,7 +109,6 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
         core.sweep(warm)
 
     # freeze the pre-sweep state
-    alpha0 = core.alpha.copy()
     lam = core.scales.variance_vector(prior, k).copy()
     sigma2 = core.sigma2
     alpha_scales2 = core.alpha_scales2.copy()
@@ -120,29 +119,9 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
     core.sweep(rng_live)
 
     dop = second_difference_matrix(k)
-    fitted = {"alpha": design.z @ alpha0}
-
-    def dense_gaussian(x, prior_prec, resid, rng):
-        prec = x.T @ x / sigma2 + prior_prec
-        lin = x.T @ resid / sigma2
-        z = rng.standard_normal(prec.shape[0])
-        chol = np.linalg.cholesky(prec)
-        return np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
-
-    beta_new = dense_gaussian(
-        design.scores,
-        dop.T @ np.diag(1.0 / lam) @ dop,
-        design.y - fitted["alpha"],
-        rng_replay,
-    )
-    fitted["beta"] = design.scores @ beta_new
+    alpha_prior_prec = np.where(design.penalized, 1.0 / alpha_scales2, 0.0)
+    beta_new, alpha_new = dense_coefficient_draw(design, lam, alpha_prior_prec, sigma2, rng_replay)
     assert np.max(np.abs(core.beta - beta_new)) < 1e-8, "functional block"
-
-    prior_prec_alpha = np.diag(np.where(design.penalized, 1.0 / alpha_scales2, 0.0))
-    alpha_new = dense_gaussian(
-        design.z, prior_prec_alpha, design.y - fitted["beta"], rng_replay
-    )
-    fitted["alpha"] = design.z @ alpha_new
     assert np.max(np.abs(core.alpha - alpha_new)) < 1e-8, "scalar block"
 
     d2 = (dop @ beta_new)[1:-1]
@@ -169,7 +148,7 @@ def _replay_one_sweep(prior: str, design: RegressionDesign | None = None, warmup
     scales_new = 1.0 / rng_replay.gamma(cfg.var_shape + 0.5, 1.0 / rates_a)
     assert np.max(np.abs(core.alpha_scales2[pen] - scales_new)) < 1e-8, "scalar prior scales"
 
-    resid = design.y - fitted["beta"] - fitted["alpha"]
+    resid = design.y - design.scores @ beta_new - design.z @ alpha_new
     rate_s = cfg.var_rate + 0.5 * float(resid @ resid)
     sigma2_new = 1.0 / rng_replay.gamma(cfg.var_shape + 0.5 * design.n, 1.0 / rate_s)
     assert abs(core.sigma2 - sigma2_new) < 1e-8 * sigma2_new, "noise variance"

@@ -206,8 +206,12 @@ def test_fit_rejects_refresh_below_one_before_reading(tmp_path, capsys):
         ("simulate", {"n": 4.5}, "n"),
         ("simulate", {"snr": True}, "snr"),
         ("summarize", {"epsilon": False}, "epsilon"),
+        ("summarize", {"epsilon": "abc"}, "epsilon"),
     ],
-    ids=["refresh-fraction", "draws-fraction", "draws-bool", "burnin-string", "n-fraction", "snr-bool", "epsilon-bool"],
+    ids=[
+        "refresh-fraction", "draws-fraction", "draws-bool", "burnin-string", "n-fraction", "snr-bool",
+        "epsilon-bool", "epsilon-string",
+    ],
 )
 def test_config_number_keys_reject_other_types_naming_the_key(tmp_path, capsys, command, payload, key):
     # an integer key once truncated 2.7 to 2 and read true as 1, without a word
@@ -216,6 +220,24 @@ def test_config_number_keys_reject_other_types_naming_the_key(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert f"config key {key} must be" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_float_keys_take_numeric_strings():
+    # PyYAML reads 1e-3 (no decimal point) as a string
+    resolved = cli._merge(cli._defaults("summarize"), {"epsilon": "1e-3", "zero_tol": "0.5"})
+    assert resolved["epsilon"] == 0.001 and resolved["zero_tol"] == 0.5
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+def test_negative_seed_rejected_naming_the_key_before_writing(tmp_path, capsys, command):
+    # a seed of -1 once reached the random generator, after the snapshot was written
+    out = tmp_path / "out"
+    assert run([command, "--seed", "-1", "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert "config key seed must be a non-negative whole number, not -1" in capsys.readouterr().err
+    cfg = write_config(tmp_path / "c.yaml", {"seed": -2})
+    assert run([command, "--config", cfg, "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    assert "config key seed must be a non-negative whole number, not -2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -666,8 +688,20 @@ def test_summarize_rejects_a_different_curve_file(pipeline_dirs, tmp_path, capsy
         ({"pred_draws": 0}, "config key pred_draws must be at least 1, not 0"),
         ({"pred_draws": -3}, "config key pred_draws must be at least 1, not -3"),
         ({"partition_cells": 20.5}, "config key partition_cells must be a whole number, not 20.5"),
+        # each of these once wrote summarize_config.yaml and beta_summary.csv before
+        # failing, or exited 0 with a degenerate output
+        ({"partition_cells": 0}, "config key partition_cells must be at least 2, not 0"),
+        ({"partition_cells": 1}, "config key partition_cells must be at least 2, not 1"),
+        ({"epsilon": 2}, "config key epsilon must be in [0, 1], not 2.0"),
+        ({"epsilon": -0.5}, "config key epsilon must be in [0, 1], not -0.5"),
+        ({"grid_points": 0}, "config key grid_points must be at least 2, not 0"),
+        ({"grid_points": 1}, "config key grid_points must be at least 2, not 1"),
+        ({"zero_tol": -1}, "config key zero_tol must be at least 0, not -1.0"),
     ],
-    ids=["pred-draws-zero", "pred-draws-negative", "cells-fraction"],
+    ids=[
+        "pred-draws-zero", "pred-draws-negative", "cells-fraction", "cells-0", "cells-1",
+        "epsilon-2", "epsilon-negative", "grid-0", "grid-1", "zero-tol-negative",
+    ],
 )
 def test_summarize_rejects_bad_counts_before_writing(pipeline_dirs, tmp_path, capsys, override, problem):
     root, sim, fit_dir, _ = pipeline_dirs
@@ -676,7 +710,7 @@ def test_summarize_rejects_bad_counts_before_writing(pipeline_dirs, tmp_path, ca
     argv[argv.index("--config") + 1] = write_config(tmp_path / "s.yaml", payload)
     assert run(argv) == cli.EXIT_CONFIG
     assert problem in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.yaml"]  # no output directory
 
 
 def test_fit_takes_a_whole_float_for_an_integer_key(pipeline_dirs, tmp_path):
@@ -877,6 +911,19 @@ def test_evaluate_scores_summary_against_truth(pipeline_dirs, tmp_path):
         assert key in table
     assert float(table["l2_error"]) >= 0
     assert 0.0 <= float(table["coverage"]) <= 1.0
+
+
+def test_evaluate_rejects_a_summary_without_rows_naming_it(pipeline_dirs, tmp_path, capsys):
+    # a header-only table once died with an IndexError traceback and exit 1
+    _, _, _, summ = pipeline_dirs
+    empty = tmp_path / "beta_summary.csv"
+    lines = (summ / "beta_summary.csv").read_text().splitlines(keepends=True)
+    empty.write_text("".join(lines[:2]))  # the hash stamp and the header
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--beta-summary", str(empty), "--out-dir", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(empty) in err and "no rows" in err
+    assert not out.exists()
 
 
 def test_evaluate_without_windows_uses_band_selection(pipeline_dirs, tmp_path):

@@ -119,37 +119,56 @@ def _prepared_core():
     return design, core
 
 
-def test_functional_block_conditional_matches_dense_oracle():
+def dense_coefficient_draw(design, lam, alpha_prior_prec, sigma2, rng):
+    """Seeded dense replay of the joint [beta; alpha] draw.
+
+    One precision over [X | Z] (the second-difference prior with variances
+    ``lam`` on beta, ``alpha_prior_prec`` on the diagonal for alpha) and one
+    standard normal of the full size, so equality with the sampler's draw
+    pins the conditional mean and precision.
+    """
+    k = design.basis_b.size
+    xz = np.column_stack([design.scores, design.z])
+    dop = second_difference_matrix(k)
+    prior_prec = np.zeros((xz.shape[1], xz.shape[1]))
+    prior_prec[:k, :k] = dop.T @ np.diag(1.0 / lam) @ dop
+    prior_prec[k:, k:] = np.diag(alpha_prior_prec)
+    prec = xz.T @ xz / sigma2 + prior_prec
+    lin = xz.T @ design.y / sigma2
+    z = rng.standard_normal(prec.shape[0])
+    chol = np.linalg.cholesky(prec)
+    theta = np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
+    return theta[:k], theta[k:]
+
+
+def test_coefficient_conditional_flat_intercept_and_oracle():
     design, core = _prepared_core()
-    x = design.scores
-    others = design.z @ core.alpha
-    dop = second_difference_matrix(design.basis_b.size)
     lam = core.scales.variance_vector("dhs", design.basis_b.size)
-    prec = x.T @ x / core.sigma2 + dop.T @ np.diag(1.0 / lam) @ dop
-    lin = x.T @ (design.y - others) / core.sigma2
+    # the flat prior on the intercept contributes zero precision
+    alpha_prior_prec = [1.0 / core.alpha_scales2[0], 1.0 / core.alpha_scales2[1], 0.0]
+    want_beta, want_alpha = dense_coefficient_draw(
+        design, lam, alpha_prior_prec, core.sigma2, np.random.default_rng(91)
+    )
+    core.sweep(np.random.default_rng(91))  # the coefficients are its first draw
+    assert np.max(np.abs(core.beta - want_beta)) < 1e-8
+    assert np.max(np.abs(core.alpha - want_alpha)) < 1e-8
 
-    seed_rng = np.random.default_rng(91)
-    core._draw_beta(seed_rng)
-    z = np.random.default_rng(91).standard_normal(design.basis_b.size)
-    chol = np.linalg.cholesky(prec)
-    want = np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
-    assert np.max(np.abs(core.beta - want)) < 1e-8
 
+@pytest.mark.parametrize("prior", ["pspline", "dhs"])
+def test_intercept_draws_do_not_creep(prior):
+    # the intercept column is nearly in the span of the curve scores; a
+    # sampler that drew beta and alpha in turn would move the intercept by
+    # small steps along that direction (lag-1 autocorrelation above 0.9 here)
+    from sofreg.funcdata import assemble_design
+    from sofreg.simulate import SimulationDesign, replicate_data
 
-def test_scalar_block_conditional_flat_intercept_and_oracle():
-    design, core = _prepared_core()
-    z_mat = design.z
-    prior_prec = np.diag(
-        [1.0 / core.alpha_scales2[0], 1.0 / core.alpha_scales2[1], 0.0]
-    )  # flat prior on the intercept contributes zero precision
-    prec = z_mat.T @ z_mat / core.sigma2 + prior_prec
-    lin = z_mat.T @ (design.y - design.scores @ core.beta) / core.sigma2
-    seed_rng = np.random.default_rng(92)
-    core._draw_alpha(seed_rng)
-    z = np.random.default_rng(92).standard_normal(3)
-    chol = np.linalg.cholesky(prec)
-    want = np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
-    assert np.max(np.abs(core.alpha - want)) < 1e-8
+    curves, y, _sigma = replicate_data(SimulationDesign(n=200, snr=5.0, seed=3), 0)
+    design = assemble_design(curves, y, 20, 20, 3)[1]
+    assert design.z_names == ["(intercept)"]
+    draws = fit(design, FitConfig(prior=prior, burnin=200, draws=400, refresh=1), seed=1)
+    intercept = draws.alpha[:, 0]
+    lag1 = np.corrcoef(intercept[:-1], intercept[1:])[0, 1]
+    assert lag1 < 0.5, lag1
 
 
 def test_variance_conditionals_match_inverse_gamma():
