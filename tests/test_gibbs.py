@@ -154,6 +154,51 @@ def test_coefficient_conditional_flat_intercept_and_oracle():
     assert np.max(np.abs(core.alpha - want_alpha)) < 1e-8
 
 
+def test_functional_block_conditional_matches_dense_oracle():
+    # With theta = mean + L^-T z and L the lower Cholesky factor of the joint
+    # precision, beta = E[beta | alpha] + chol(Q_bb)^-T z[:K]: the joint draw's
+    # beta is the functional block's conditional draw given the drawn alpha.
+    design, core = _prepared_core()
+    k = design.basis_b.size
+    x = design.scores
+    dop = second_difference_matrix(k)
+    lam = core.scales.variance_vector("dhs", k)
+    sigma2 = core.sigma2
+    core.sweep(np.random.default_rng(91))
+    prec = x.T @ x / sigma2 + dop.T @ np.diag(1.0 / lam) @ dop
+    lin = x.T @ (design.y - design.z @ core.alpha) / sigma2
+    z = np.random.default_rng(91).standard_normal(k + design.z.shape[1])[:k]
+    chol = np.linalg.cholesky(prec)
+    want = np.linalg.solve(prec, lin) + np.linalg.solve(chol.T, z)
+    assert np.max(np.abs(core.beta - want)) < 1e-8
+
+
+def test_scalar_block_conditional_flat_intercept_and_oracle():
+    # The joint draw's alpha is its marginal draw, beta integrated out: mean
+    # S^-1 (b_a - Q_ab Q_bb^-1 b_b), precision the Schur complement S, whose
+    # Cholesky factor is the trailing block of the joint one.
+    design, core = _prepared_core()
+    k = design.basis_b.size
+    x, z_mat = design.scores, design.z
+    dop = second_difference_matrix(k)
+    lam = core.scales.variance_vector("dhs", k)
+    sigma2 = core.sigma2
+    prior_prec = np.diag(
+        [1.0 / core.alpha_scales2[0], 1.0 / core.alpha_scales2[1], 0.0]
+    )  # flat prior on the intercept contributes zero precision
+    core.sweep(np.random.default_rng(92))
+    q_bb = x.T @ x / sigma2 + dop.T @ np.diag(1.0 / lam) @ dop
+    q_ab = z_mat.T @ x / sigma2
+    q_aa = z_mat.T @ z_mat / sigma2 + prior_prec
+    b_b, b_a = x.T @ design.y / sigma2, z_mat.T @ design.y / sigma2
+    schur = q_aa - q_ab @ np.linalg.solve(q_bb, q_ab.T)
+    mean = np.linalg.solve(schur, b_a - q_ab @ np.linalg.solve(q_bb, b_b))
+    z = np.random.default_rng(92).standard_normal(k + 3)[k:]
+    chol = np.linalg.cholesky(schur)
+    want = mean + np.linalg.solve(chol.T, z)
+    assert np.max(np.abs(core.alpha - want)) < 1e-8
+
+
 @pytest.mark.parametrize("prior", ["pspline", "dhs"])
 def test_intercept_draws_do_not_creep(prior):
     # the intercept column is nearly in the span of the curve scores; a
